@@ -38,8 +38,6 @@ from .pipeline import (
     CbNetStream,
     PipelineConfig,
     bench_packet,
-    cbnet_init,
-    cbnet_push,
     enhance_signal,
     latency_total,
     offline_oracle,
@@ -82,8 +80,6 @@ __all__ = [
     "WaveBuffer",
     "WeightBundle",
     "bench_packet",
-    "cbnet_init",
-    "cbnet_push",
     "chunked_output_sdr",
     "compute_rir",
     "enhance_signal",

@@ -27,7 +27,7 @@ import numpy as np
 from . import metrics, mixgen, pipeline, syncsim, wire
 from .dsp import stft
 from .pipeline import PipelineConfig
-from .weights import load_weights, random_init
+from .weights import WeightFormatError, load_weights, random_init
 
 log = logging.getLogger("clearstream")
 
@@ -461,7 +461,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError, KeyError, WeightFormatError) as e:
         log.error("%s", e)
         return 1
 

@@ -231,16 +231,20 @@ class CbNetStream:
         self.mix_mel = np.zeros((self.cfg.unet.input_mel, self.cfg.unet.input_frames))
         self.packets_seen = 0
 
+    def _advance_mel(self) -> np.ndarray:
+        """Shift mix_mel one column and compute its newest columns."""
+        cfg = self.cfg
+        mel = self.mix_mel
+        mel[:, :-1] = mel[:, 1:]
+        return self.comb.unet_input(
+            self.mix_win, mel, cfg.unet.input_frames - cfg.cover_frames
+        )
+
     def _mask(self) -> np.ndarray:
         if self.fixed_mask is not None:
             return self.fixed_mask
         cfg = self.cfg
-        mel = self.mix_mel
-        mel[:, :-1] = mel[:, 1:]
-        self.comb.unet_input(
-            self.mix_win, mel, cfg.unet.input_frames - cfg.cover_frames
-        )
-        probs = self.unet_engine.forward(mel, cfg.mask_cols)
+        probs = self.unet_engine.forward(self._advance_mel(), cfg.mask_cols)
         return threshold_mask(probs, cfg.unet.threshold)
 
     def _tcn_push(self, packet: np.ndarray) -> np.ndarray:
@@ -251,7 +255,10 @@ class CbNetStream:
 
         The emitted samples cover the input packet `lookahead` samples
         back; the first lookahead/W pushes of a cold stream return the
-        pre-stream silent past, forced to exact zeros.
+        pre-stream silent past, forced to exact zeros.  tcn_win is then
+        still all zeros, so combine would give exact zeros under any
+        mask: those pushes skip the UNet and the combiner, and only
+        advance the TCN state and the mixture window and its mel.
         """
         packet = np.asarray(packet, dtype=np.float64)
         cfg = self.cfg
@@ -260,21 +267,15 @@ class CbNetStream:
             raise ValueError(f"expected ({cfg.tcn.in_channels}, {w}) packet")
         self.packets_seen += 1
         tcn_out = self._tcn_push(packet)
-        if self.packets_seen <= cfg.lookahead_cols:
-            tcn_out = np.zeros(w)
         self.mix_win[:-w] = self.mix_win[w:]
         self.mix_win[-w:] = packet.sum(axis=0)
+        if self.packets_seen <= cfg.lookahead_cols:
+            if self.fixed_mask is None:
+                self._advance_mel()
+            return np.zeros(w)
         self.tcn_win[:-w] = self.tcn_win[w:]
         self.tcn_win[-w:] = tcn_out
         return self.comb.combine(self.tcn_win, self._mask())
-
-
-def cbnet_init(bundle, config: PipelineConfig | None = None) -> CbNetStream:
-    return CbNetStream(bundle, config)
-
-
-def cbnet_push(stream: CbNetStream, packet: np.ndarray) -> np.ndarray:
-    return stream.push(packet)
 
 
 def offline_oracle(x: np.ndarray, bundle,

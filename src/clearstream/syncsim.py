@@ -75,11 +75,6 @@ class RateEncoder:
         return "none"
 
 
-def rate_encode_step(encoder: RateEncoder, diff_us: float) -> str:
-    """Advance the encoder by one divergence report; returns the action."""
-    return encoder.update(diff_us)
-
-
 def startup_align(
     primary_start_tick: int,
     secondary_start_tick: int,

@@ -138,13 +138,19 @@ class TcnEngine:
             f8("enc.w").reshape(n, self.cfg.in_channels * l).T
         )
         self.enc_b = f8("enc.b")
+        # One block for all pointwise weights, filled by one float32 cast-
+        # and-transpose per layer: it faults in far faster than 2 fresh
+        # (N, N) copies per layer.  Each layer holds a C-contiguous view.
+        pw = np.empty((len(self.cfg.dilations), n, n))
+        for i in range(len(pw)):
+            pw[i] = bundle.tensor(f"tcn.{i}.pw.w").T
         self.layers = [
             (
                 np.ascontiguousarray(f8(f"tcn.{i}.dw.w").T),   # (k, N)
-                np.ascontiguousarray(f8(f"tcn.{i}.pw.w").T),   # (N, N)
+                pw[i],                                         # (N, N)
                 f8(f"tcn.{i}.pw.b"),
             )
-            for i in range(len(self.cfg.dilations))
+            for i in range(len(pw))
         ]
         self.dec_wt = np.ascontiguousarray(f8("dec.w").T)       # (N, L)
         self.dec_b = f8("dec.b")

@@ -146,11 +146,14 @@ def save_weights(bundle: WeightBundle, path: str | Path) -> None:
 
 
 class _Reader:
+    """Cursor over a memoryview of the file buffer: take() slices it
+    without copying, so each tensor's only copy is its astype."""
+
     def __init__(self, buf: bytes):
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise TruncatedBundleError(
                 f"needed {n} bytes at offset {self.pos}, "
@@ -172,7 +175,7 @@ class _Reader:
 
 def parse_weights(buf: bytes) -> WeightBundle:
     r = _Reader(buf)
-    magic = r.take(4)
+    magic = bytes(r.take(4))
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
     count = r.u32()
@@ -180,7 +183,7 @@ def parse_weights(buf: bytes) -> WeightBundle:
     for _ in range(count):
         name_len = r.u16()
         try:
-            name = r.take(name_len).decode("utf-8")
+            name = str(r.take(name_len), "utf-8")
         except UnicodeDecodeError as e:
             raise WeightFormatError(f"undecodable tensor name: {e}") from e
         ndim = r.u8()

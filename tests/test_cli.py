@@ -89,6 +89,31 @@ def test_enhance_runtime_error_is_exit_1(tmp_path, weights_path, rng):
     assert rc == 1
 
 
+@pytest.mark.parametrize("corrupt", ["bad_magic", "truncated", "trailing"])
+def test_enhance_corrupt_weights_is_one_line_exit_1(tmp_path, small_cfg_path,
+                                                    weights_path, rng, corrupt):
+    raw = weights_path.read_bytes()
+    bad = {
+        "bad_magic": b"NOPE" + raw[4:],
+        "truncated": raw[:-7],
+        "trailing": raw + b"\x00",
+    }[corrupt]
+    bad_path = tmp_path / "corrupt.cbw"
+    bad_path.write_bytes(bad)
+    in_path = tmp_path / "in.wav"
+    write_wav(in_path, WaveBuffer(0.1 * rng.standard_normal((2, 400)), 15625.0))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clearstream", "enhance", str(in_path),
+         str(tmp_path / "o.wav"), "--weights", str(bad_path),
+         "--config", str(small_cfg_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "o.wav").exists()
+
+
 def test_argparse_rejects_unknown_usage():
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])

@@ -9,6 +9,7 @@ from clearstream.pipeline import (
     CbNetStream,
     LatencyBudget,
     PipelineConfig,
+    _Combiner,
     _UncachedRunner,
     bench_packet,
     enhance_signal,
@@ -59,7 +60,7 @@ def test_oracle_feeds_unet_the_stream_mel(config, small_pipeline, rng, monkeypat
     monkeypatch.setattr(UNetEngine, "forward", record)
     x = 0.3 * rng.standard_normal((2, 6 * cfg.tcn.packet_len))
     enhance_signal(x, bundle, cfg)
-    streamed = seen[cfg.lookahead_cols :]
+    streamed = seen
     seen = []
     enhance_signal(x, bundle, cfg, oracle=True)
     assert len(seen) == len(streamed) > 0
@@ -88,14 +89,31 @@ def test_zeros_mask_gives_silence(small_pipeline, small_pipeline_bundle, rng):
     assert np.all(out == 0.0)
 
 
-def test_cold_stream_emits_zero_packets_first(small_pipeline, small_pipeline_bundle, rng):
+def test_cold_stream_emits_zero_packets_first(small_pipeline, small_pipeline_bundle,
+                                              rng, monkeypatch):
+    calls = {"forward": 0, "combine": 0}
+
+    def counted(cls, name, key):
+        real = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(UNetEngine, "forward", "forward")
+    counted(_Combiner, "combine", "combine")
     stream = CbNetStream(small_pipeline_bundle, small_pipeline)
     w = small_pipeline.tcn.packet_len
     for _ in range(small_pipeline.lookahead_cols):
         out = stream.push(0.3 * rng.standard_normal((2, w)))
         assert np.all(out == 0.0)
+    # the silent pushes run neither the UNet nor the combiner
+    assert calls == {"forward": 0, "combine": 0}
     out = stream.push(0.3 * rng.standard_normal((2, w)))
     assert np.any(out != 0.0)
+    assert calls == {"forward": 1, "combine": 1}
 
 
 def test_output_length_matches_input(small_pipeline, small_pipeline_bundle, rng):

@@ -63,6 +63,22 @@ def test_save_load_file_roundtrip(tmp_path, small_tcn):
         assert np.array_equal(back.tensor(name), b.tensor(name))
 
 
+def test_loaded_tensors_are_owned_copies(tmp_path, small_tcn):
+    """parse_weights slices the file buffer without copying; each tensor
+    must still be its own writeable float32 array, not a view of it."""
+    path = tmp_path / "w.cbw"
+    save_weights(random_init(small_tcn, seed=5), path)
+    raw = path.read_bytes()
+    file_buf = np.frombuffer(raw, dtype=np.uint8)
+    back = parse_weights(raw)
+    for bundle in (back, load_weights(path)):
+        for name in bundle.names():
+            t = bundle.tensor(name)
+            assert t.dtype == np.float32
+            assert t.flags.owndata and t.flags.writeable and t.flags.c_contiguous
+            assert not np.shares_memory(t, file_buf)
+
+
 def test_random_init_deterministic_and_seed_sensitive(small_tcn):
     a = dump_weights(random_init(small_tcn, seed=123))
     b = dump_weights(random_init(small_tcn, seed=123))
