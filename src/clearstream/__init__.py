@@ -44,14 +44,13 @@ from .pipeline import (
     process_file,
 )
 from .syncsim import SyncSimConfig, run_sim, startup_align
-from .tcn import TcnConfig, TcnEngine, tcn_flop_count, tcn_full_forward
+from .tcn import TcnConfig, TcnEngine, tcn_flop_count
 from .unet import (
     UNetConfig,
     UNetEngine,
     ibm_training_target,
     threshold_mask,
     unet_flop_count,
-    unet_forward,
 )
 from .weights import (
     WeightBundle,
@@ -107,9 +106,7 @@ __all__ = [
     "stft",
     "sweep",
     "tcn_flop_count",
-    "tcn_full_forward",
     "threshold_mask",
     "unet_flop_count",
-    "unet_forward",
     "__version__",
 ]

@@ -1,19 +1,24 @@
 """End-to-end streaming enhancer: TCN, mel-mask UNet, spectral combine.
 
-Per 350-sample stereo packet the stream
+Per push of k >= 1 350-sample stereo packets the stream sets
+non-finite input samples to 0, then pushes the block through the
+streaming TCN in one pass, obtaining the k enhanced mono packets that
+sit `lookahead` (700 samples) behind the newest input.  Each layer's
+pointwise GEMM runs once over all 7k new frames, so the pass reads the
+TCN weights once instead of k times.  Only the decoder runs per packet,
+as one stacked matmul: OpenBLAS's (M, 512) @ (512, 50) decoder GEMM
+gives rows that differ in the last bit for M >= 14, so one GEMM over
+the block would not match single pushes.  Then, per packet, the stream
 
-1. pushes the packet through the streaming TCN, obtaining the enhanced
-   mono packet that sits `lookahead` (700 samples) behind the newest
-   input;
-2. appends the packet's mono sum (L+R) and the TCN output to trailing
+1. appends the packet's mono sum (L+R) and its TCN output to trailing
    64-frame windows (22400 samples each);
-3. shifts the log1p mel spectrogram of the mixture window by one
+2. shifts the log1p mel spectrogram of the mixture window by one
    column and computes only its `cover_frames` newest columns (the
    newest complete STFT frame and the ones zero-padded at the window
    end; every older frame is unchanged by the shift), then runs the
    UNet for the `cover_frames` mask columns the combiner reads and
    thresholds them to a binary mel mask;
-4. expands the mask to linear bins, applies it to the STFT frames of
+3. expands the mask to linear bins, applies it to the STFT frames of
    the TCN-output window that cover the newest complete TCN packet, and
    re-synthesizes exactly those 350 samples by weighted overlap-add.
 
@@ -57,6 +62,9 @@ from .tcn import TcnConfig, TcnEngine, tcn_flop_count
 from .unet import UNetConfig, UNetEngine, threshold_mask, unet_flop_count
 
 PACKET_MS = 22.4  # 350 samples at 15.625 kHz
+# enhance_signal pushes at most this many packets per call: it bounds
+# the TCN activations of long inputs at about 1.8 MB per layer
+_BLOCK_PACKETS = 64
 
 
 @dataclass(frozen=True)
@@ -230,6 +238,7 @@ class CbNetStream:
         # mel of mix_win; that of the silent window is exactly 0
         self.mix_mel = np.zeros((self.cfg.unet.input_mel, self.cfg.unet.input_frames))
         self.packets_seen = 0
+        self.samples_sanitised = 0  # non-finite input samples set to 0
 
     def _advance_mel(self) -> np.ndarray:
         """Shift mix_mel one column and compute its newest columns."""
@@ -247,35 +256,49 @@ class CbNetStream:
         probs = self.unet_engine.forward(self._advance_mel(), cfg.mask_cols)
         return threshold_mask(probs, cfg.unet.threshold)
 
-    def _tcn_push(self, packet: np.ndarray) -> np.ndarray:
-        return self.tcn_state.push_packet(packet)
+    def _tcn_push(self, x: np.ndarray) -> np.ndarray:
+        return self.tcn_state.push_packet(x)
 
-    def push(self, packet: np.ndarray) -> np.ndarray:
-        """Consume one stereo packet; emit one enhanced mono packet.
+    def push(self, x: np.ndarray) -> np.ndarray:
+        """Consume k >= 1 stereo packets, (in_channels, k * W) samples;
+        emit k * W enhanced mono samples.
 
-        The emitted samples cover the input packet `lookahead` samples
-        back; the first lookahead/W pushes of a cold stream return the
-        pre-stream silent past, forced to exact zeros.  tcn_win is then
-        still all zeros, so combine would give exact zeros under any
-        mask: those pushes skip the UNet and the combiner, and only
-        advance the TCN state and the mixture window and its mel.
+        Any other shape raises ValueError and changes nothing.
+        Non-finite input samples are replaced by 0 before any state
+        changes, and counted in samples_sanitised.  The TCN then runs
+        once over the whole block; the mixture window, mel, UNet and
+        combiner still step packet by packet, so the output is
+        bit-identical to k single-packet pushes.
+
+        The emitted samples cover the input `lookahead` samples back; the
+        first lookahead/W packets of a cold stream are the pre-stream
+        silent past, forced to exact zeros.  tcn_win is then still all
+        zeros, so combine would give exact zeros under any mask: those
+        packets skip the UNet and the combiner, and only advance the
+        TCN state and the mixture window and its mel.
         """
-        packet = np.asarray(packet, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
         cfg = self.cfg
+        cfg.tcn.packets_in(x)
         w = cfg.tcn.packet_len
-        if packet.shape != (cfg.tcn.in_channels, w):
-            raise ValueError(f"expected ({cfg.tcn.in_channels}, {w}) packet")
-        self.packets_seen += 1
-        tcn_out = self._tcn_push(packet)
-        self.mix_win[:-w] = self.mix_win[w:]
-        self.mix_win[-w:] = packet.sum(axis=0)
-        if self.packets_seen <= cfg.lookahead_cols:
-            if self.fixed_mask is None:
-                self._advance_mel()
-            return np.zeros(w)
-        self.tcn_win[:-w] = self.tcn_win[w:]
-        self.tcn_win[-w:] = tcn_out
-        return self.comb.combine(self.tcn_win, self._mask())
+        finite = np.isfinite(x)
+        if not finite.all():
+            self.samples_sanitised += int(finite.size - np.count_nonzero(finite))
+            x = np.where(finite, x, 0.0)
+        tcn_out = self._tcn_push(x)
+        out = np.zeros(x.shape[1])
+        for s in range(0, x.shape[1], w):
+            self.packets_seen += 1
+            self.mix_win[:-w] = self.mix_win[w:]
+            self.mix_win[-w:] = x[:, s : s + w].sum(axis=0)
+            if self.packets_seen <= cfg.lookahead_cols:
+                if self.fixed_mask is None:
+                    self._advance_mel()
+                continue
+            self.tcn_win[:-w] = self.tcn_win[w:]
+            self.tcn_win[-w:] = tcn_out[s : s + w]
+            out[s : s + w] = self.comb.combine(self.tcn_win, self._mask())
+        return out
 
 
 def offline_oracle(x: np.ndarray, bundle,
@@ -345,9 +368,10 @@ def enhance_signal(x: np.ndarray, bundle,
                    mask_override: str | None = None) -> np.ndarray:
     """Enhance a whole stereo signal; output aligned with the input.
 
-    Pads x to whole packets, streams it (or runs the batch oracle),
-    flushes the lookahead with silent packets, and returns exactly
-    len(x) mono samples aligned sample-for-sample with the input.
+    Pads x to whole packets, streams it in pushes of at most
+    _BLOCK_PACKETS packets (or runs the batch oracle), flushes the
+    lookahead with silent packets, and returns exactly len(x) mono
+    samples aligned sample-for-sample with the input.
     """
     cfg = config or PipelineConfig()
     x = np.asarray(x, dtype=np.float64)
@@ -357,14 +381,13 @@ def enhance_signal(x: np.ndarray, bundle,
     padded = np.zeros((x.shape[0], pad_pkts * w))
     padded[:, :n] = x
     if oracle:
-        out = offline_oracle(padded, bundle, cfg, mask_override=mask_override)
-    else:
-        stream = CbNetStream(bundle, cfg, mask_override=mask_override)
-        chunks = []
-        for p in range(pad_pkts):
-            chunks.append(stream.push(padded[:, p * w : (p + 1) * w]))
-        out = np.concatenate(chunks[cfg.lookahead_cols :])
-    return out[:n]
+        return offline_oracle(padded, bundle, cfg, mask_override=mask_override)[:n]
+    stream = CbNetStream(bundle, cfg, mask_override=mask_override)
+    step = _BLOCK_PACKETS * w
+    out = np.concatenate([stream.push(padded[:, s : s + step])
+                          for s in range(0, padded.shape[1], step)])
+    # an owned copy: a view would keep the lookahead packets alive
+    return out[cfg.lookahead_cols * w :][:n].copy()
 
 
 def process_file(in_path, bundle, out_path,
@@ -468,11 +491,14 @@ class _UncachedRunner(CbNetStream):
         super().__init__(bundle, cfg)
         self.in_win = np.zeros((cfg.tcn.in_channels, cfg.tcn.min_input_samples))
 
-    def _tcn_push(self, packet: np.ndarray) -> np.ndarray:
+    def _tcn_push(self, x: np.ndarray) -> np.ndarray:
         w = self.cfg.tcn.packet_len
-        self.in_win[:, :-w] = self.in_win[:, w:]
-        self.in_win[:, -w:] = packet
-        return self.tcn_engine.full_forward(self.in_win)
+        outs = []
+        for s in range(0, x.shape[1], w):
+            self.in_win[:, :-w] = self.in_win[:, w:]
+            self.in_win[:, -w:] = x[:, s : s + w]
+            outs.append(self.tcn_engine.full_forward(self.in_win))
+        return np.concatenate(outs)
 
 
 def bench_packet(bundle, config: PipelineConfig | None = None,

@@ -19,7 +19,8 @@ Two evaluation paths produce identical numbers:
   window, and forward_stream runs a whole signal in one pass, feeding
   each layer its constant response to the silent past;
 * streaming: TcnState keeps per-layer rolling activation buffers and,
-  per pushed packet, computes only the 7 new frames of every layer.
+  per push of k packets, computes only the 7k new frames of every layer,
+  so a block of packets runs each layer's GEMM once, over 7k rows.
 
 Activations are held time-major, (frames, channels): the pointwise
 matmul then runs on contiguous rows, which measures almost 2x faster
@@ -66,6 +67,15 @@ class TcnConfig:
     @property
     def lookahead_frames(self) -> int:
         return self.lookahead // self.frame_len
+
+    def packets_in(self, x: np.ndarray) -> int:
+        """The k >= 1 whole packets in x, (in_channels, k * packet_len)
+        samples; raises ValueError on any other shape."""
+        w = self.packet_len
+        if (x.ndim != 2 or x.shape[0] != self.in_channels or x.shape[1] == 0
+                or x.shape[1] % w):
+            raise ValueError(f"expected ({self.in_channels}, k * {w}) samples, k >= 1")
+        return x.shape[1] // w
 
     @property
     def layer_spans(self) -> tuple[int, ...]:
@@ -197,9 +207,12 @@ class TcnEngine:
         return expit(h)
 
     def _decode(self, latent: np.ndarray) -> np.ndarray:
-        """Masked latent frames (T, N) -> mono samples (T*L,)."""
-        t = latent.shape[0]
-        self.tally.dec += self.dec_wt.size * t
+        """Masked latent frames (..., T, N) -> mono samples, L per frame.
+
+        A stacked (k, T, N) input decodes each T-frame block as its own
+        GEMM.
+        """
+        self.tally.dec += self.dec_wt.size * (latent.size // latent.shape[-1])
         return (latent @ self.dec_wt + self.dec_b).reshape(-1)
 
     def _silence_constants(self) -> list[np.ndarray]:
@@ -314,50 +327,48 @@ class TcnState:
         """Total cached activation values held across all buffers."""
         return sum(b.size for b in self.bufs)
 
-    def push_packet(self, packet: np.ndarray) -> np.ndarray:
-        """Consume packet_len new stereo samples; emit packet_len mono.
+    def push_packet(self, x: np.ndarray) -> np.ndarray:
+        """Consume k >= 1 whole packets, (in_channels, k * packet_len)
+        stereo samples; emit k * packet_len mono samples.
 
-        The emitted samples correspond to the packet `lookahead` samples
-        behind the newest input, so the first two pushes of a cold
-        stream return the enhancement of the silent past.
+        The emitted samples correspond to the packets `lookahead` samples
+        behind the newest input, so the first two packets a cold stream
+        emits are the enhancement of the silent past.  The encoder, the
+        layers and the mask run once over all k * frames_per_packet new
+        rows; the output is bit-identical to k single-packet pushes.
         """
         eng = self.engine
         cfg = eng.cfg
-        packet = np.asarray(packet, dtype=np.float64)
-        if packet.shape != (cfg.in_channels, cfg.packet_len):
-            raise ValueError(
-                f"expected ({cfg.in_channels}, {cfg.packet_len}) packet"
-            )
-        fpp = cfg.frames_per_packet
-        new = eng._encode(packet)
-        h = new
-        for i in range(len(cfg.dilations)):
-            buf = self.bufs[i]
-            buf[:-fpp] = buf[fpp:]
-            buf[-fpp:] = h
-            span = cfg.layer_spans[i]
-            h = eng._layer(buf[-(fpp + span):], i)
-        mask = expit(h)
-        la = cfg.lookahead_frames
+        x = np.asarray(x, dtype=np.float64)
+        k = cfg.packets_in(x)
+        new = eng._encode(x)
+        m, la = len(new), cfg.lookahead_frames
         enc_buf = self.bufs[0]
-        out_cols = enc_buf[-(la + fpp) : -la]
+        # the rows the mask multiplies lag the new rows by la frames; the
+        # encoder buffer keeps them only while la + m rows fit in it
+        lag_old = enc_buf[-la:].copy() if la + m > len(enc_buf) else None
+        h = new
+        for i, (buf, span) in enumerate(zip(self.bufs, cfg.layer_spans)):
+            rows = span + m
+            if rows <= len(buf):  # single packets: shift in place, no copy
+                buf[:-m] = buf[m:]
+                buf[-m:] = h
+                h = eng._layer(buf[-rows:], i)
+            else:
+                h = np.concatenate([buf[len(buf) - span :], h])
+                buf[:] = h[-len(buf):]
+                h = eng._layer(h, i)
+        mask = expit(h)
+        if lag_old is None:
+            mask *= enc_buf[-(la + m) : -la]
+        else:
+            mask[:la] *= lag_old
+            mask[la:] *= new[: m - la]
         eng.tally.mask_mult += mask.size
-        self.frames_seen += fpp
-        return eng._decode(mask * out_cols)
-
-
-# -- module-level op aliases (engine-free call style) ---------------------
-
-def tcn_full_forward(x: np.ndarray, bundle, config: TcnConfig | None = None):
-    return TcnEngine(bundle, config).full_forward(x)
-
-
-def tcn_init_state(bundle, config: TcnConfig | None = None) -> TcnState:
-    return TcnEngine(bundle, config).init_state()
-
-
-def tcn_push_packet(state: TcnState, packet: np.ndarray) -> np.ndarray:
-    return state.push_packet(packet)
+        self.frames_seen += m
+        # decoded packet by packet: the decoder GEMM's rows are not
+        # bit-stable across row counts, a stacked matmul's are
+        return eng._decode(mask.reshape(k, cfg.frames_per_packet, -1))
 
 
 def tcn_buffer_frames(config: TcnConfig) -> int:

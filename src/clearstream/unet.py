@@ -325,10 +325,6 @@ class UNetEngine:
         return unet_flop_count(self.cfg)
 
 
-def unet_forward(mel_input: np.ndarray, bundle, config: UNetConfig | None = None):
-    return UNetEngine(bundle, config).forward(mel_input)
-
-
 def threshold_mask(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Probabilities to binary mask; values >= threshold pass."""
     probs = np.asarray(probs)

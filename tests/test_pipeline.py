@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clearstream.pipeline import (
     CbNetStream,
@@ -89,31 +91,176 @@ def test_zeros_mask_gives_silence(small_pipeline, small_pipeline_bundle, rng):
     assert np.all(out == 0.0)
 
 
-def test_cold_stream_emits_zero_packets_first(small_pipeline, small_pipeline_bundle,
-                                              rng, monkeypatch):
+@pytest.fixture()
+def stage_calls(monkeypatch):
+    """Counts of UNetEngine.forward and _Combiner.combine calls."""
     calls = {"forward": 0, "combine": 0}
 
-    def counted(cls, name, key):
+    def count(cls, name):
         real = getattr(cls, name)
 
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            calls[name] += 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, wrapper)
 
-    counted(UNetEngine, "forward", "forward")
-    counted(_Combiner, "combine", "combine")
+    count(UNetEngine, "forward")
+    count(_Combiner, "combine")
+    return calls
+
+
+def test_cold_stream_emits_zero_packets_first(small_pipeline, small_pipeline_bundle,
+                                              rng, stage_calls):
     stream = CbNetStream(small_pipeline_bundle, small_pipeline)
     w = small_pipeline.tcn.packet_len
     for _ in range(small_pipeline.lookahead_cols):
         out = stream.push(0.3 * rng.standard_normal((2, w)))
         assert np.all(out == 0.0)
     # the silent pushes run neither the UNet nor the combiner
-    assert calls == {"forward": 0, "combine": 0}
+    assert stage_calls == {"forward": 0, "combine": 0}
     out = stream.push(0.3 * rng.standard_normal((2, w)))
     assert np.any(out != 0.0)
-    assert calls == {"forward": 1, "combine": 1}
+    assert stage_calls == {"forward": 1, "combine": 1}
+
+
+def _push_blocks(stream, x, sizes):
+    """Push x through stream in blocks of the given packet counts."""
+    w = stream.cfg.tcn.packet_len
+    outs, p = [], 0
+    for k in sizes:
+        out = stream.push(x[:, p * w : (p + k) * w])
+        assert out.shape == (k * w,)
+        outs.append(out)
+        p += k
+    return np.concatenate(outs)
+
+
+def _state(stream):
+    """Every array the stream carries from one push to the next."""
+    return ([stream.mix_win, stream.tcn_win, stream.mix_mel]
+            + stream.tcn_state.bufs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=40),
+       seed=st.integers(0, 2**16))
+def test_block_push_equals_packet_pushes(small_pipeline, small_pipeline_bundle,
+                                         sizes, seed):
+    cfg = small_pipeline
+    n_pkts = max(40, sum(sizes))
+    sizes = sizes + [1] * (n_pkts - sum(sizes))
+    x = 0.3 * np.random.default_rng(seed).standard_normal(
+        (2, n_pkts * cfg.tcn.packet_len))
+    single = CbNetStream(small_pipeline_bundle, cfg)
+    want = _push_blocks(single, x, [1] * n_pkts)
+    block = CbNetStream(small_pipeline_bundle, cfg)
+    assert np.array_equal(_push_blocks(block, x, sizes), want)
+    assert block.packets_seen == single.packets_seen == n_pkts
+    for a, b in zip(_state(block), _state(single)):
+        assert np.array_equal(a, b)
+
+
+def test_block_push_default_config(rng):
+    """3 s of signal in one push, on the full-size network."""
+    cfg = PipelineConfig()
+    bundle = random_init(cfg, seed=6)
+    w = cfg.tcn.packet_len
+    n_pkts = -(-3 * 15625 // w)
+    x = 0.3 * rng.standard_normal((2, n_pkts * w))
+    single = CbNetStream(bundle, cfg)
+    want = _push_blocks(single, x, [1] * n_pkts)
+    block = CbNetStream(bundle, cfg)
+    assert np.array_equal(block.push(x), want)
+    for a, b in zip(_state(block), _state(single)):
+        assert np.array_equal(a, b)
+
+
+def test_enhance_signal_equals_packet_pushes(small_pipeline, small_pipeline_bundle,
+                                             rng, tmp_path, monkeypatch):
+    """enhance_signal and process_file push in blocks; their output is the
+    one-packet-at-a-time stream's, owned, not a view."""
+    cfg = small_pipeline
+    w = cfg.tcn.packet_len
+    monkeypatch.setattr("clearstream.pipeline._BLOCK_PACKETS", 4)
+    n = 13 * w + 5
+    x = 0.3 * rng.standard_normal((2, n))
+    pad_pkts = -(-n // w) + cfg.lookahead_cols
+    padded = np.zeros((2, pad_pkts * w))
+    padded[:, :n] = x
+    stream = CbNetStream(small_pipeline_bundle, cfg)
+    want = _push_blocks(stream, padded, [1] * pad_pkts)[cfg.lookahead_cols * w :][:n]
+    got = enhance_signal(x, small_pipeline_bundle, cfg)
+    assert np.array_equal(got, want)
+    assert got.base is None
+
+    path = tmp_path / "in.wav"
+    write_wav(path, WaveBuffer(x, sample_rate=15625.0))
+    q = read_wav(path).data
+    stream = CbNetStream(small_pipeline_bundle, cfg)
+    padded[:, :n] = q
+    want = _push_blocks(stream, padded, [1] * pad_pkts)[cfg.lookahead_cols * w :][:n]
+    assert np.array_equal(process_file(path, small_pipeline_bundle, None, cfg).data[0],
+                          want)
+
+
+def _injected(x, rng, count):
+    """x with count samples set to NaN, +inf or -inf at random places."""
+    bad = x.copy()
+    idx = rng.choice(x.size, size=count, replace=False)
+    bad.flat[idx] = rng.choice([np.nan, np.inf, -np.inf], size=count)
+    clean = x.copy()
+    clean.flat[idx] = 0.0
+    return bad, clean
+
+
+@settings(max_examples=15, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=12),
+       count=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_non_finite_input_is_sanitised(small_pipeline, small_pipeline_bundle,
+                                       sizes, count, seed):
+    """push never raises on NaN or inf, and emits exactly what it emits
+    for the same input with those samples set to 0."""
+    cfg = small_pipeline
+    rng = np.random.default_rng(seed)
+    x = 0.3 * rng.standard_normal((2, sum(sizes) * cfg.tcn.packet_len))
+    bad, clean = _injected(x, rng, count)
+    stream = CbNetStream(small_pipeline_bundle, cfg)
+    got = _push_blocks(stream, bad, sizes)
+    want = _push_blocks(CbNetStream(small_pipeline_bundle, cfg), clean, sizes)
+    assert np.array_equal(got, want)
+    assert np.all(np.isfinite(got))
+    assert stream.samples_sanitised == count
+
+
+def test_rejected_push_leaves_state_unchanged(small_pipeline, small_pipeline_bundle,
+                                              rng):
+    cfg = small_pipeline
+    w = cfg.tcn.packet_len
+    stream = CbNetStream(small_pipeline_bundle, cfg)
+    stream.push(0.3 * rng.standard_normal((2, 3 * w)))
+    before = [a.copy() for a in _state(stream)]
+    for bad in (np.zeros((2, 0)), np.zeros((2, 2 * w + 1)), np.zeros((1, 2, w)),
+                np.zeros((3, w)), np.full((2, w + 3), np.nan)):
+        with pytest.raises(ValueError, match="k >= 1"):
+            stream.push(bad)
+    assert stream.packets_seen == 3
+    assert stream.tcn_state.frames_seen == 3 * cfg.tcn.frames_per_packet
+    assert stream.samples_sanitised == 0
+    for a, b in zip(_state(stream), before):
+        assert np.array_equal(a, b)
+
+
+def test_cold_block_push_skips_silent_packets(small_pipeline, small_pipeline_bundle,
+                                              rng, stage_calls):
+    cfg = small_pipeline
+    w, la = cfg.tcn.packet_len, cfg.lookahead_cols
+    k = la + 3
+    out = CbNetStream(small_pipeline_bundle, cfg).push(
+        0.3 * rng.standard_normal((2, k * w)))
+    assert np.all(out[: la * w] == 0.0)
+    assert np.all(np.any(out[la * w :].reshape(k - la, w) != 0.0, axis=1))
+    assert stage_calls == {"forward": k - la, "combine": k - la}
 
 
 def test_output_length_matches_input(small_pipeline, small_pipeline_bundle, rng):
@@ -161,6 +308,12 @@ def test_uncached_runner_matches_stream(small_pipeline, small_pipeline_bundle, r
         a = cached.push(pkt)
         b = uncached.push(pkt)
         assert np.max(np.abs(a - b)) <= 1e-9
+    # a block of packets, which the runner recomputes packet by packet
+    x = 0.3 * rng.standard_normal((2, 9 * w))
+    a = cached.push(x)
+    b = uncached.push(x)
+    assert a.shape == b.shape == (9 * w,)
+    assert np.max(np.abs(a - b)) <= 1e-9
 
 
 def test_latency_report_default_budget():

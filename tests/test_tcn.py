@@ -6,15 +6,14 @@ re-implementation; streaming is checked against the batch pass.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clearstream.tcn import (
     TcnConfig,
     TcnEngine,
     tcn_buffer_frames,
     tcn_flop_count,
-    tcn_full_forward,
-    tcn_init_state,
-    tcn_push_packet,
 )
 from clearstream.weights import random_init, zero_init
 
@@ -79,7 +78,7 @@ def naive_full_forward(x: np.ndarray, bundle, cfg: TcnConfig) -> np.ndarray:
 def test_full_forward_matches_naive_oracle(small_tcn, rng):
     bundle = random_init(small_tcn, seed=42)
     x = rng.standard_normal((2, small_tcn.min_input_samples + 3 * small_tcn.frame_len))
-    got = tcn_full_forward(x, bundle, small_tcn)
+    got = TcnEngine(bundle, small_tcn).full_forward(x)
     want = naive_full_forward(x, bundle, small_tcn)
     assert got.shape == (small_tcn.packet_len,)
     assert np.max(np.abs(got - want)) <= 1e-6
@@ -90,9 +89,9 @@ def test_streaming_matches_full_forward_prefixes(small_tcn, rng):
     w = small_tcn.packet_len
     n_pkts = 30
     x = rng.standard_normal((2, n_pkts * w))
-    state = tcn_init_state(bundle, small_tcn)
     engine = TcnEngine(bundle, small_tcn)
-    outs = [tcn_push_packet(state, x[:, k * w : (k + 1) * w]) for k in range(n_pkts)]
+    state = engine.init_state()
+    outs = [state.push_packet(x[:, k * w : (k + 1) * w]) for k in range(n_pkts)]
     # push k emits the packet `lookahead` samples back; once the receptive
     # field is filled with real signal it must equal a batch pass on the
     # prefix seen so far
@@ -117,6 +116,54 @@ def test_streaming_matches_forward_stream_everywhere(small_tcn, rng):
     assert np.max(np.abs(streamed[la:] - batch)) <= 1e-5
 
 
+def _push_blocks(state, x, sizes):
+    """Push x through state in blocks of the given packet counts."""
+    w = state.engine.cfg.packet_len
+    outs, p = [], 0
+    for k in sizes:
+        outs.append(state.push_packet(x[:, p * w : (p + k) * w]))
+        p += k
+    return np.concatenate(outs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=40),
+       seed=st.integers(0, 2**16))
+def test_block_push_equals_packet_pushes(small_tcn, sizes, seed):
+    """Any split of a signal into blocks gives bit-identical output and
+    leaves bit-identical buffers of the same size."""
+    n_pkts = max(40, sum(sizes))
+    sizes = sizes + [1] * (n_pkts - sum(sizes))
+    w = small_tcn.packet_len
+    x = np.random.default_rng(seed).standard_normal((2, n_pkts * w))
+    engine = TcnEngine(random_init(small_tcn, seed=9), small_tcn)
+    single = engine.init_state()
+    want = _push_blocks(single, x, [1] * n_pkts)
+    block = engine.init_state()
+    got = _push_blocks(block, x, sizes)
+    assert np.array_equal(got, want)
+    assert block.frames_seen == single.frames_seen == n_pkts * small_tcn.frames_per_packet
+    assert block.buffer_values() == tcn_buffer_frames(small_tcn) * small_tcn.latent_channels
+    for a, b in zip(block.bufs, single.bufs):
+        assert np.array_equal(a, b)
+
+
+def test_default_config_block_equals_packets():
+    """3 s of signal pushed as one block, on the full-size network."""
+    cfg = TcnConfig()
+    w = cfg.packet_len
+    n_pkts = -(-3 * 15625 // w)
+    x = 0.3 * np.random.default_rng(5).standard_normal((2, n_pkts * w))
+    engine = TcnEngine(random_init(cfg, seed=2), cfg)
+    single = engine.init_state()
+    want = _push_blocks(single, x, [1] * n_pkts)
+    block = engine.init_state()
+    assert np.array_equal(block.push_packet(x), want)
+    assert block.buffer_values() == tcn_buffer_frames(cfg) * cfg.latent_channels
+    for a, b in zip(block.bufs, single.bufs):
+        assert np.array_equal(a, b)
+
+
 def test_receptive_field_analytics():
     cfg = TcnConfig()
     assert cfg.receptive_frames == 1 + 2 * sum(cfg.dilations) == 509
@@ -133,10 +180,11 @@ def test_causality_lookahead_bound(small_tcn, rng):
     y = x.copy()
     y[:, 12 * w :] += 100.0  # perturb everything after packet 11
     outs_x, outs_y = [], []
-    sx, sy = tcn_init_state(bundle, small_tcn), tcn_init_state(bundle, small_tcn)
+    engine = TcnEngine(bundle, small_tcn)
+    sx, sy = engine.init_state(), engine.init_state()
     for k in range(20):
-        outs_x.append(tcn_push_packet(sx, x[:, k * w : (k + 1) * w]))
-        outs_y.append(tcn_push_packet(sy, y[:, k * w : (k + 1) * w]))
+        outs_x.append(sx.push_packet(x[:, k * w : (k + 1) * w]))
+        outs_y.append(sy.push_packet(y[:, k * w : (k + 1) * w]))
     # push k emits input packet k-2; pushes 0..11 saw identical inputs and
     # emit packets 0..9, all with horizons inside the unperturbed region
     for k in range(12):
@@ -147,10 +195,11 @@ def test_causality_lookahead_bound(small_tcn, rng):
 def test_zero_weights_give_zero_output(small_tcn, rng):
     bundle = zero_init(small_tcn)
     x = rng.standard_normal((2, small_tcn.min_input_samples))
-    assert np.all(tcn_full_forward(x, bundle, small_tcn) == 0.0)
-    state = tcn_init_state(bundle, small_tcn)
+    engine = TcnEngine(bundle, small_tcn)
+    assert np.all(engine.full_forward(x) == 0.0)
+    state = engine.init_state()
     for _ in range(5):
-        out = tcn_push_packet(state, rng.standard_normal((2, small_tcn.packet_len)))
+        out = state.push_packet(rng.standard_normal((2, small_tcn.packet_len)))
     assert np.all(out == 0.0)
 
 
@@ -177,10 +226,11 @@ def test_two_states_identical_outputs(small_tcn, rng):
     bundle = random_init(small_tcn, seed=21)
     w = small_tcn.packet_len
     x = rng.standard_normal((2, 8 * w))
-    s1, s2 = tcn_init_state(bundle, small_tcn), tcn_init_state(bundle, small_tcn)
+    s1 = TcnEngine(bundle, small_tcn).init_state()
+    s2 = TcnEngine(bundle, small_tcn).init_state()
     for k in range(8):
-        a = tcn_push_packet(s1, x[:, k * w : (k + 1) * w])
-        b = tcn_push_packet(s2, x[:, k * w : (k + 1) * w])
+        a = s1.push_packet(x[:, k * w : (k + 1) * w])
+        b = s2.push_packet(x[:, k * w : (k + 1) * w])
         assert np.array_equal(a, b)
 
 
@@ -200,7 +250,7 @@ def test_buffer_footprint_matches_allocation(small_tcn):
         assert tcn_buffer_frames(cfg) == want
 
     bundle = random_init(small_tcn, seed=0)
-    state = tcn_init_state(bundle, small_tcn)
+    state = TcnEngine(bundle, small_tcn).init_state()
     assert state.buffer_values() == tcn_buffer_frames(small_tcn) * small_tcn.latent_channels
 
 
@@ -221,6 +271,11 @@ def test_flop_count_matches_instrumented_push(small_tcn, rng):
     t = engine.tally
     measured = 2 * (t.enc + t.dw + t.pw + t.dec) + t.mask_mult
     assert measured == tcn_flop_count(small_tcn, cached=True)
+    # a block of k packets does k packets' work
+    engine.tally.reset()
+    state.push_packet(np.tile(pkt, 5))
+    measured = 2 * (t.enc + t.dw + t.pw + t.dec) + t.mask_mult
+    assert measured == 5 * tcn_flop_count(small_tcn, cached=True)
 
 
 def test_flop_count_matches_instrumented_full_forward(small_tcn, rng):
@@ -255,8 +310,15 @@ def test_input_validation(small_tcn, rng):
     with pytest.raises(ValueError):
         engine.full_forward(np.zeros((3, small_tcn.min_input_samples)))
     state = engine.init_state()
-    with pytest.raises(ValueError):
-        state.push_packet(np.zeros((2, small_tcn.packet_len + 1)))
+    w = small_tcn.packet_len
+    bufs = [b.copy() for b in state.bufs]
+    for bad in (np.zeros((2, w + 1)), np.zeros((2, 0)), np.zeros((3, w)),
+                np.zeros((1, 2, w)), np.zeros(2 * w)):
+        with pytest.raises(ValueError, match="k >= 1"):
+            state.push_packet(bad)
+    assert state.frames_seen == 0
+    for a, b in zip(state.bufs, bufs):
+        assert np.array_equal(a, b)
 
 
 def test_config_validation():

@@ -9,7 +9,6 @@ from clearstream.unet import (
     ibm_training_target,
     threshold_mask,
     unet_flop_count,
-    unet_forward,
 )
 from clearstream.weights import random_init, zero_init
 
@@ -97,7 +96,7 @@ def naive_forward(mel, bundle, cfg: UNetConfig) -> np.ndarray:
 def test_forward_matches_naive_oracle(small_unet, rng):
     bundle = random_init(small_unet, seed=42)
     mel = rng.standard_normal((small_unet.input_mel, small_unet.input_frames))
-    got = unet_forward(mel, bundle, small_unet)
+    got = UNetEngine(bundle, small_unet).forward(mel)
     want = naive_forward(mel, bundle, small_unet)
     assert got.shape == mel.shape
     # engine convolves in single precision; observed deviation from the
@@ -108,7 +107,7 @@ def test_forward_matches_naive_oracle(small_unet, rng):
 def test_zero_weights_give_half_probabilities(small_unet, rng):
     bundle = zero_init(small_unet)
     mel = rng.standard_normal((small_unet.input_mel, small_unet.input_frames))
-    probs = unet_forward(mel, bundle, small_unet)
+    probs = UNetEngine(bundle, small_unet).forward(mel)
     assert np.all(probs == 0.5)
 
 
@@ -116,7 +115,7 @@ def test_default_shape_and_range(rng):
     cfg = UNetConfig()
     bundle = random_init(cfg, seed=1)
     mel = np.abs(rng.standard_normal((128, 64)))
-    probs = unet_forward(mel, bundle, cfg)
+    probs = UNetEngine(bundle, cfg).forward(mel)
     assert probs.shape == (128, 64)
     assert np.all((probs > 0.0) & (probs < 1.0))
 
