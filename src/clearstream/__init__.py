@@ -9,12 +9,9 @@ binaural scene generator, and the matching evaluation metrics.  See the
 from .dsp import (
     ComplexSpectrogram,
     MelFilterbank,
-    MelSpectrogram,
     WaveBuffer,
     istft,
     mel_filterbank,
-    mel_mask_expand,
-    mel_project,
     stft,
 )
 from .metrics import (
@@ -48,7 +45,6 @@ from .tcn import TcnConfig, TcnEngine, tcn_flop_count
 from .unet import (
     UNetConfig,
     UNetEngine,
-    ibm_training_target,
     threshold_mask,
     unet_flop_count,
 )
@@ -66,7 +62,6 @@ __all__ = [
     "CbNetStream",
     "ComplexSpectrogram",
     "MelFilterbank",
-    "MelSpectrogram",
     "MixtureBundle",
     "PipelineConfig",
     "Rir",
@@ -82,15 +77,12 @@ __all__ = [
     "chunked_output_sdr",
     "compute_rir",
     "enhance_signal",
-    "ibm_training_target",
     "istft",
     "latency_total",
     "load_weights",
     "loss_total",
     "make_mixture",
     "mel_filterbank",
-    "mel_mask_expand",
-    "mel_project",
     "offline_oracle",
     "oracle_mask",
     "parse_weights",

@@ -119,6 +119,8 @@ def _mixture_kwargs(args) -> dict:
     kw: dict = {}
     if args.mix_config:
         raw = json.loads(_require_file(args.mix_config, "--config").read_text())
+        if not isinstance(raw, dict):
+            raise UsageError("mixture config must be a JSON object")
         room = raw.pop("room", None)
         for key, val in raw.items():
             if key not in _MIX_KEYS:

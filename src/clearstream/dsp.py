@@ -11,7 +11,7 @@ normalization) are pinned down once, here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -61,14 +61,6 @@ class WaveBuffer:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate
-
-    def mono_sum(self) -> np.ndarray:
-        """Sum of channels (L+R for stereo), as a 1-D array."""
-        return self.data.sum(axis=0)
-
 
 @dataclass
 class ComplexSpectrogram:
@@ -78,10 +70,6 @@ class ComplexSpectrogram:
     hop: int = DEFAULT_HOP
     win_len: int = DEFAULT_WIN
     sample_rate: float = DEFAULT_SAMPLE_RATE
-
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[0]
 
     @property
     def time_bins(self) -> int:
@@ -98,25 +86,6 @@ class MelFilterbank:
     weights: np.ndarray
     sample_rate: float
     n_fft: int
-
-    @property
-    def n_mel(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass
-class MelSpectrogram:
-    data: np.ndarray
-    hop: int = DEFAULT_HOP
-    sample_rate: float = DEFAULT_SAMPLE_RATE
-
-    @property
-    def n_mel(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def time_bins(self) -> int:
-        return self.data.shape[1]
 
 
 @lru_cache(maxsize=8)
@@ -236,33 +205,12 @@ def mel_filterbank(
     return MelFilterbank(weights, sample_rate=sample_rate, n_fft=n_fft)
 
 
-def mel_project(spec: ComplexSpectrogram, fb: MelFilterbank) -> MelSpectrogram:
-    """Project linear magnitude bins onto the mel filters."""
-    if spec.n_bins != fb.weights.shape[1]:
-        raise ValueError("spectrogram/filterbank bin mismatch")
-    return MelSpectrogram(
-        fb.weights @ spec.magnitude(), hop=spec.hop, sample_rate=spec.sample_rate
-    )
-
-
 def mel_bin_assignment(fb: MelFilterbank) -> np.ndarray:
     """For each linear bin, the index of the mel filter with maximum weight.
 
     Ties (and all-zero columns such as DC) resolve to the lowest index.
     """
     return np.argmax(fb.weights, axis=0)
-
-
-def mel_mask_expand(mask: np.ndarray, fb: MelFilterbank) -> np.ndarray:
-    """Expand a (n_mel, T) mask to linear bins by hard filter assignment.
-
-    Each linear bin carries the mask value of the mel filter that has the
-    largest weight at that bin.
-    """
-    mask = np.asarray(mask)
-    if mask.shape[0] != fb.n_mel:
-        raise ValueError("mask rows must match filterbank size")
-    return mask[mel_bin_assignment(fb), :]
 
 
 # Half-band decimator: 31-tap equiripple low-pass centered on 0.25*fs

@@ -116,16 +116,28 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
-        tcn_d = dict(d.get("tcn", {}))
-        if "dilations" in tcn_d:
-            tcn_d["dilations"] = tuple(tcn_d["dilations"])
-        return PipelineConfig(
-            tcn=TcnConfig(**tcn_d),
-            unet=UNetConfig(**d.get("unet", {})),
-            sample_rate=d.get("sample_rate", 15625.0),
-            hop=d.get("hop", DEFAULT_HOP),
-            win_len=d.get("win_len", DEFAULT_WIN),
-        )
+        """Inverse of to_dict; absent keys keep their defaults.
+
+        A malformed document (not an object, an unknown key, a value of
+        the wrong type) raises ValueError naming the section at fault.
+        """
+        if not isinstance(d, dict):
+            raise ValueError("pipeline config must be a JSON object")
+        kw = dict(d)
+        for name, cls in (("tcn", TcnConfig), ("unet", UNetConfig)):
+            sec = kw.get(name, {})
+            if not isinstance(sec, dict):
+                raise ValueError(f"pipeline config {name!r} must be a JSON object")
+            try:
+                if "dilations" in sec:
+                    sec = {**sec, "dilations": tuple(sec["dilations"])}
+                kw[name] = cls(**sec)
+            except TypeError as e:
+                raise ValueError(f"pipeline config {name!r}: {e}") from e
+        try:
+            return PipelineConfig(**kw)
+        except TypeError as e:
+            raise ValueError(f"pipeline config: {e}") from e
 
 
 def _pad_slice(x: np.ndarray, start: int, end: int) -> np.ndarray:
@@ -210,24 +222,11 @@ class _Combiner:
         return out / self.den
 
 
-def _fixed_mask(cfg: PipelineConfig, mask_override: str | None):
-    """The constant mask columns mask_override asks for; None means the
-    UNet's mask."""
-    if mask_override not in (None, "ones", "zeros"):
-        raise ValueError("mask_override must be None, 'ones' or 'zeros'")
-    if mask_override is None:
-        return None
-    return np.full((cfg.unet.input_mel, cfg.cover_frames),
-                   float(mask_override == "ones"))
-
-
 class CbNetStream:
     """Packetwise streaming state for the full enhancement network."""
 
-    def __init__(self, bundle, config: PipelineConfig | None = None,
-                 mask_override: str | None = None):
+    def __init__(self, bundle, config: PipelineConfig | None = None):
         self.cfg = config or PipelineConfig()
-        self.fixed_mask = _fixed_mask(self.cfg, mask_override)
         self.tcn_engine = TcnEngine(bundle, self.cfg.tcn)
         self.unet_engine = UNetEngine(bundle, self.cfg.unet)
         self.comb = _Combiner(self.cfg)
@@ -250,8 +249,6 @@ class CbNetStream:
         )
 
     def _mask(self) -> np.ndarray:
-        if self.fixed_mask is not None:
-            return self.fixed_mask
         cfg = self.cfg
         probs = self.unet_engine.forward(self._advance_mel(), cfg.mask_cols)
         return threshold_mask(probs, cfg.unet.threshold)
@@ -292,8 +289,7 @@ class CbNetStream:
             self.mix_win[:-w] = self.mix_win[w:]
             self.mix_win[-w:] = x[:, s : s + w].sum(axis=0)
             if self.packets_seen <= cfg.lookahead_cols:
-                if self.fixed_mask is None:
-                    self._advance_mel()
+                self._advance_mel()
                 continue
             self.tcn_win[:-w] = self.tcn_win[w:]
             self.tcn_win[-w:] = tcn_out[s : s + w]
@@ -302,8 +298,7 @@ class CbNetStream:
 
 
 def offline_oracle(x: np.ndarray, bundle,
-                   config: PipelineConfig | None = None,
-                   mask_override: str | None = None) -> np.ndarray:
+                   config: PipelineConfig | None = None) -> np.ndarray:
     """Batch recomputation of the streamed output.
 
     x is (2, S) with S a multiple of the packet length.  Returns the
@@ -325,7 +320,6 @@ def offline_oracle(x: np.ndarray, bundle,
     la_pkts = cfg.lookahead_cols
     if n_pkts <= la_pkts:
         return np.zeros(0)
-    fixed = _fixed_mask(cfg, mask_override)
     tcn_stream = TcnEngine(bundle, cfg.tcn).forward_stream(x)  # [0, S - lookahead)
     # built after the TCN pass, whose weights and activations set the
     # peak memory and are freed by now
@@ -339,33 +333,28 @@ def offline_oracle(x: np.ndarray, bundle,
     # [0, whole) lie inside the window, the rest run past its end.
     first = 1 + la_pkts - t_frames
     whole = t_frames - cfg.cover_frames + 1
-    if fixed is None:
-        frames = comb.mel_frames(
-            mixsum, first, np.empty((cfg.unet.input_mel, n_out - 1 + whole))
-        )
-        mel = np.empty((cfg.unet.input_mel, t_frames))
+    frames = comb.mel_frames(
+        mixsum, first, np.empty((cfg.unet.input_mel, n_out - 1 + whole))
+    )
+    mel = np.empty((cfg.unet.input_mel, t_frames))
     out = np.zeros(n_out * w)
     for p in range(n_out):
         tcn_end = (p + 1) * w
         mix_end = (p + 1 + la_pkts) * w
         tcn_win = _pad_slice(tcn_stream, tcn_end - nwin, tcn_end)
-        if fixed is None:
-            mel[:, :whole] = frames[:, p : p + whole]
-            mix_win = _pad_slice(mixsum, mix_end - nwin, mix_end)
-            probs = unet_engine.forward(
-                comb.unet_input(mix_win, mel, whole), cfg.mask_cols
-            )
-            mask = threshold_mask(probs, cfg.unet.threshold)
-        else:
-            mask = fixed
+        mel[:, :whole] = frames[:, p : p + whole]
+        mix_win = _pad_slice(mixsum, mix_end - nwin, mix_end)
+        probs = unet_engine.forward(
+            comb.unet_input(mix_win, mel, whole), cfg.mask_cols
+        )
+        mask = threshold_mask(probs, cfg.unet.threshold)
         out[p * w : (p + 1) * w] = comb.combine(tcn_win, mask)
     return out
 
 
 def enhance_signal(x: np.ndarray, bundle,
                    config: PipelineConfig | None = None,
-                   oracle: bool = False,
-                   mask_override: str | None = None) -> np.ndarray:
+                   oracle: bool = False) -> np.ndarray:
     """Enhance a whole stereo signal; output aligned with the input.
 
     Pads x to whole packets, streams it in pushes of at most
@@ -381,8 +370,8 @@ def enhance_signal(x: np.ndarray, bundle,
     padded = np.zeros((x.shape[0], pad_pkts * w))
     padded[:, :n] = x
     if oracle:
-        return offline_oracle(padded, bundle, cfg, mask_override=mask_override)[:n]
-    stream = CbNetStream(bundle, cfg, mask_override=mask_override)
+        return offline_oracle(padded, bundle, cfg)[:n]
+    stream = CbNetStream(bundle, cfg)
     step = _BLOCK_PACKETS * w
     out = np.concatenate([stream.push(padded[:, s : s + step])
                           for s in range(0, padded.shape[1], step)])

@@ -83,6 +83,17 @@ class TcnConfig:
         return tuple((self.conv_kernel - 1) * d for d in self.dilations)
 
     @property
+    def buffer_lens(self) -> tuple[int, ...]:
+        """Frames TcnState buffers per stage (the encoder, then layers
+        0 .. n-2): one packet plus the next layer's dilated history; the
+        encoder buffer also keeps the lookahead-lagged rows the mask
+        multiplies."""
+        fpp = self.frames_per_packet
+        lens = [fpp + span for span in self.layer_spans]
+        lens[0] = max(lens[0], 2 * fpp + self.lookahead_frames)
+        return tuple(lens)
+
+    @property
     def receptive_frames(self) -> int:
         """Total frames feeding one mask position: 1 + sum of layer spans."""
         return 1 + sum(self.layer_spans)
@@ -292,9 +303,6 @@ class TcnEngine:
     def init_state(self) -> "TcnState":
         return TcnState(self)
 
-    def flop_count(self, cached: bool = True) -> int:
-        return tcn_flop_count(self.cfg, cached=cached)
-
 
 class TcnState:
     """Rolling activation buffers for packetwise evaluation.
@@ -308,20 +316,10 @@ class TcnState:
 
     def __init__(self, engine: TcnEngine):
         self.engine = engine
-        cfg = engine.cfg
         self.frames_seen = 0
-        fpp = cfg.frames_per_packet
-        spans = cfg.layer_spans
         consts = engine._silence_constants()
-        self.buf_lens: list[int] = []
-        self.bufs: list[np.ndarray] = []
-        n_stages = len(cfg.dilations)  # buffered stages: enc + layers 1..13
-        for stage in range(n_stages):
-            need = fpp + spans[stage]
-            if stage == 0:
-                need = max(need, fpp + cfg.lookahead_frames + fpp)
-            self.buf_lens.append(need)
-            self.bufs.append(np.tile(consts[stage], (need, 1)))
+        self.bufs = [np.tile(c, (need, 1))
+                     for c, need in zip(consts, engine.cfg.buffer_lens)]
 
     def buffer_values(self) -> int:
         """Total cached activation values held across all buffers."""
@@ -373,15 +371,7 @@ class TcnState:
 
 def tcn_buffer_frames(config: TcnConfig) -> int:
     """Analytic count of buffered frames across all stages."""
-    fpp = config.frames_per_packet
-    spans = config.layer_spans
-    total = 0
-    for stage in range(len(config.dilations)):
-        need = fpp + spans[stage]
-        if stage == 0:
-            need = max(need, fpp + config.lookahead_frames + fpp)
-        total += need
-    return total
+    return sum(config.buffer_lens)
 
 
 def tcn_flop_count(config: TcnConfig, cached: bool = True) -> int:

@@ -321,9 +321,6 @@ class UNetEngine:
         probs = expit(logits.reshape(cfg.input_mel, hi - lo))
         return probs.astype(np.float64)
 
-    def flop_count(self) -> int:
-        return unet_flop_count(self.cfg)
-
 
 def threshold_mask(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Probabilities to binary mask; values >= threshold pass."""
@@ -331,28 +328,6 @@ def threshold_mask(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     if np.any(probs < 0.0) or np.any(probs > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     return (probs >= threshold).astype(np.float64)
-
-
-def ibm_training_target(target_spec, interferer_specs) -> np.ndarray:
-    """Binary mask that is 1 where the target dominates every interferer.
-
-    Accepts mel spectrograms (anything with a .values array) or plain
-    magnitude arrays, all of one shape.  With no interferers dominance
-    holds vacuously and the mask is all ones.
-    """
-    def mag(s):
-        return np.asarray(getattr(s, "data", s), dtype=np.float64)
-
-    target = mag(target_spec)
-    mask = np.ones(target.shape, dtype=np.float64)
-    for spec in interferer_specs:
-        other = mag(spec)
-        if other.shape != target.shape:
-            raise ValueError(
-                f"shape mismatch: {other.shape} vs {target.shape}"
-            )
-        mask *= (target >= other).astype(np.float64)
-    return mask
 
 
 def unet_flop_count(config: UNetConfig | None = None) -> int:

@@ -15,7 +15,6 @@ oversized dim products are rejected before any allocation happens.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"CBW1"
-FORMAT_VERSION = 1
 
 # Hard cap on elements per tensor; anything above is treated as a
 # corrupt header rather than an allocation request.
@@ -62,11 +60,9 @@ class TensorRecord:
 
 @dataclass
 class WeightBundle:
-    """Named float32 tensors plus bookkeeping about their provenance."""
+    """Named float32 tensors."""
 
     records: dict[str, TensorRecord] = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
-    config_digest: str | None = None
 
     def add(self, name: str, data: np.ndarray) -> None:
         if name in self.records:
@@ -93,11 +89,6 @@ class WeightBundle:
                 )
 
 
-def specs_digest(specs: list[tuple[str, tuple[int, ...], int]]) -> str:
-    text = ";".join(f"{n}:{','.join(map(str, s))}" for n, s, _ in specs)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def random_init(config, seed: int) -> WeightBundle:
     """Uniform init in [-k, k] with k = 1/sqrt(fan_in), per tensor.
 
@@ -107,7 +98,7 @@ def random_init(config, seed: int) -> WeightBundle:
     """
     specs = config.tensor_specs()
     rng = np.random.default_rng(seed)
-    bundle = WeightBundle(config_digest=specs_digest(specs))
+    bundle = WeightBundle()
     for name, shape, fan_in in specs:
         k = 1.0 / np.sqrt(float(fan_in))
         bundle.add(name, rng.uniform(-k, k, size=shape).astype(np.float32))
@@ -117,7 +108,7 @@ def random_init(config, seed: int) -> WeightBundle:
 def zero_init(config) -> WeightBundle:
     """All-zero bundle for the given config (useful in tests)."""
     specs = config.tensor_specs()
-    bundle = WeightBundle(config_digest=specs_digest(specs))
+    bundle = WeightBundle()
     for name, shape, _ in specs:
         bundle.add(name, np.zeros(shape, dtype=np.float32))
     return bundle

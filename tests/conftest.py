@@ -42,6 +42,24 @@ def small_pipeline_bundle(small_pipeline):
     return random_init(small_pipeline, seed=42)
 
 
+@pytest.fixture(scope="session")
+def constant_mask_bundle():
+    """Factory: random_init(cfg, seed) with every UNet tensor zeroed and
+    unet.out.b set to bias.  Every UNet probability is then expit(bias):
+    bias 0 gives exactly 0.5, which the >= threshold passes, so the mask
+    passes every cell; bias -1 blocks every cell."""
+
+    def make(cfg, seed: int, bias: float):
+        bundle = random_init(cfg, seed=seed)
+        for name in bundle.names():
+            if name.startswith("unet."):
+                bundle.tensor(name)[...] = 0.0
+        bundle.tensor("unet.out.b")[...] = bias
+        return bundle
+
+    return make
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

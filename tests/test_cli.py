@@ -114,6 +114,82 @@ def test_enhance_corrupt_weights_is_one_line_exit_1(tmp_path, small_cfg_path,
     assert not (tmp_path / "o.wav").exists()
 
 
+_BAD_CONFIGS = {
+    "cfg_not_object": "[1,2]",
+    "cfg_unknown_key": '{"tcn": {"foo": 1}}',
+    "cfg_bad_value": '{"tcn": {"dilations": 5}}',
+    "cfg_section_not_object": '{"tcn": [1]}',
+    "cfg_bad_json": "{bad",
+}
+_CONFIG_CMDS = {
+    "enhance": ["enhance", "{wav}", "{out}/o.wav", "--weights", "{weights}"],
+    "bench": ["bench", "--packets", "2", "--uncached-packets", "1"],
+    "sweep": ["sweep", "--kind", "angle", "--grid", "30", "--trials", "1",
+              "--duration", "0.5", "--tones", "--out", "{out}/s"],
+    "evaluate": ["evaluate", "{empty}", "--out", "{out}/e"],
+}
+_MALFORMED = {
+    **{
+        f"{cmd}-{bad}": argv + ["--config", "{%s}" % bad]
+        for cmd, argv in _CONFIG_CMDS.items()
+        for bad in _BAD_CONFIGS
+    },
+    **{
+        f"genmix-{bad}": ["genmix", "--tones", "--out", "{out}/g", "--config",
+                          "{%s}" % bad]
+        for bad in ("cfg_not_object", "cfg_bad_json")
+    },
+    **{
+        f"enhance-{wav}": ["enhance", "{%s}" % wav, "{out}/o.wav",
+                           "--weights", "{weights}", "--config", "{cfg}"]
+        for wav in ("mono_wav", "wav_16k", "truncated_wav")
+    },
+    "bench-corrupt_weights": ["bench", "--weights", "{corrupt}", "--config", "{cfg}"],
+    "evaluate-corrupt_weights": ["evaluate", "{empty}", "--out", "{out}/e",
+                                 "--enhancer", "pipeline", "--weights", "{corrupt}",
+                                 "--config", "{cfg}"],
+    "evaluate-empty_dir": ["evaluate", "{empty}", "--out", "{out}/e"],
+    "syncsim-three_ppm": ["syncsim", "--ppm", "1,2,3"],
+    "wiresim-drop_2": ["wiresim", "--drop", "2", "--packets", "10"],
+}
+
+
+@pytest.fixture(scope="module")
+def malformed_inputs(tmp_path_factory, small_pipeline, small_pipeline_bundle):
+    """Paths the malformed-input table formats its argv with."""
+    d = tmp_path_factory.mktemp("malformed")
+    rng = np.random.default_rng(0)
+    paths = {"out": d / "out", "empty": d / "empty", "cfg": d / "small.json",
+             "weights": d / "model.cbw", "corrupt": d / "corrupt.cbw"}
+    paths["empty"].mkdir()
+    paths["cfg"].write_text(json.dumps(small_pipeline.to_dict()))
+    save_weights(small_pipeline_bundle, paths["weights"])
+    paths["corrupt"].write_bytes(b"NOPE" + paths["weights"].read_bytes()[4:])
+    for name, text in _BAD_CONFIGS.items():
+        paths[name] = d / f"{name}.json"
+        paths[name].write_text(text)
+    for name, ch, rate in (("wav", 2, 15625.0), ("mono_wav", 1, 15625.0),
+                           ("wav_16k", 2, 16000.0)):
+        paths[name] = d / f"{name}.wav"
+        write_wav(paths[name], WaveBuffer(0.1 * rng.standard_normal((ch, 400)), rate))
+    raw = paths["wav"].read_bytes()
+    paths["truncated_wav"] = d / "truncated.wav"
+    paths["truncated_wav"].write_bytes(raw[: len(raw) // 2 + 1])
+    return {k: str(v) for k, v in paths.items()}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_is_one_line_exit_1_or_2(case, malformed_inputs):
+    argv = [a.format(**malformed_inputs) for a in _MALFORMED[case]]
+    proc = subprocess.run([sys.executable, "-m", "clearstream", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines()
+              if line.startswith(("error:", "ERROR"))]
+    assert len(errors) == 1, proc.stderr
+
+
 def test_argparse_rejects_unknown_usage():
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])

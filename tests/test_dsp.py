@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from clearstream.dsp import (
     DEFAULT_HOP,
     DEFAULT_WIN,
+    MelFilterbank,
     WaveBuffer,
     decimate_by_2,
     decimator_stopband_db,
@@ -22,11 +23,10 @@ from clearstream.dsp import (
     istft,
     mel_bin_assignment,
     mel_filterbank,
-    mel_mask_expand,
-    mel_project,
     mel_to_hz,
     stft,
 )
+from clearstream.pipeline import PipelineConfig, _Combiner
 
 SR = 15625.0
 
@@ -198,27 +198,37 @@ def test_mel_filterbank_rejects_too_many_filters():
 
 
 # -- mel projection and mask expansion ------------------------------------
+#
+# The pipeline projects STFT frames onto the mel filters with
+# _Combiner.mel_frames and expands a mel mask column to linear bins as
+# col[mel_bin_assignment(fb)] in _Combiner.combine.
 
 
-def test_mel_project_zero_and_single_bin(rng):
+def _mel_frames(x: np.ndarray, first: int, k: int) -> np.ndarray:
+    comb = _Combiner(PipelineConfig())
+    return comb.mel_frames(x, first, np.empty((comb.fb.weights.shape[0], k)))
+
+
+def test_mel_frames_zero_input():
+    assert np.all(_mel_frames(np.zeros(4 * DEFAULT_HOP), 0, 4) == 0.0)
+
+
+def test_mel_frames_match_stft(rng):
+    """Column j is log1p of the filters times |stft(x)| frame first + j,
+    the zero-padded tail frames included."""
+    x = rng.standard_normal(6 * DEFAULT_HOP + 17)
+    spec = stft(x)
     fb = mel_filterbank()
-    spec = stft(np.zeros(4 * DEFAULT_HOP))
-    assert np.all(mel_project(spec, fb).data == 0.0)
-
-    k = 217
-    spec.data[:] = 0.0
-    spec.data[k, 2] = 3.0 - 4.0j  # magnitude 5
-    mel = mel_project(spec, fb)
-    np.testing.assert_allclose(mel.data[:, 2], fb.weights[:, k] * 5.0, atol=1e-12)
-    assert np.all(mel.data[:, [0, 1, 3]] == 0.0)
+    for first in (0, 2):
+        k = spec.time_bins - first
+        want = np.log1p(fb.weights @ np.abs(spec.data[:, first:]))
+        np.testing.assert_allclose(_mel_frames(x, first, k), want, rtol=0, atol=1e-12)
 
 
-def test_mel_project_tone_peaks_at_nearest_center(rng):
-    fb = mel_filterbank()
+def test_mel_frames_tone_peaks_at_nearest_center():
     t = np.arange(8 * DEFAULT_HOP) / SR
-    spec = stft(np.sin(2 * np.pi * 1000.0 * t))
-    mel = mel_project(spec, fb)
-    got = int(np.argmax(mel.data[:, 4]))
+    mel = _mel_frames(np.sin(2 * np.pi * 1000.0 * t), 0, 8)
+    got = int(np.argmax(mel[:, 4]))
 
     # independent center table from the HTK formula
     pts = np.linspace(0.0, 2595.0 * np.log10(1.0 + SR / 2.0 / 700.0), 130)
@@ -227,35 +237,42 @@ def test_mel_project_tone_peaks_at_nearest_center(rng):
     assert abs(got - want) <= 1
 
 
-def test_mel_project_monotone_in_magnitude(rng):
-    fb = mel_filterbank()
-    spec = stft(rng.standard_normal(6 * DEFAULT_HOP))
-    bigger = stft(np.zeros(6 * DEFAULT_HOP))
-    bigger.data = spec.data * 3.0
-    assert np.all(mel_project(bigger, fb).data >= mel_project(spec, fb).data - 1e-15)
+def test_mel_frames_monotone_in_magnitude(rng):
+    x = rng.standard_normal(6 * DEFAULT_HOP)
+    assert np.all(_mel_frames(3.0 * x, 0, 6) >= _mel_frames(x, 0, 6) - 1e-15)
+
+
+def _lowest_max_filter(weights: np.ndarray, b: int) -> int:
+    """Brute force: the lowest-index filter holding column b's maximum."""
+    col = weights[:, b]
+    return next(m for m in range(len(col)) if col[m] == col.max())
 
 
 def test_mask_expand_trivial_and_single_bin():
+    """Each linear bin takes the mask value of a filter holding its
+    column maximum."""
     fb = mel_filterbank()
-    ones = np.ones((128, 4))
-    zeros = np.zeros((128, 4))
-    assert np.all(mel_mask_expand(ones, fb) == 1.0)
-    assert np.all(mel_mask_expand(zeros, fb) == 0.0)
-
     assign = mel_bin_assignment(fb)
-    for m in (0, 17, 127):
-        mask = np.zeros((128, 3))
-        mask[m, :] = 1.0
-        out = mel_mask_expand(mask, fb)
-        for b in range(513):
-            assert out[b, 0] == (1.0 if assign[b] == m else 0.0)
+    assert assign.shape == (fb.weights.shape[1],)
+    for b in range(len(assign)):
+        assert assign[b] == _lowest_max_filter(fb.weights, b)
+    assert np.all(np.ones(128)[assign] == 1.0)
+    assert np.all(np.zeros(128)[assign] == 0.0)
 
 
 def test_mask_expand_stays_binary(rng):
+    """Ties, the all-zero DC column among them, go to the lowest index,
+    and a binary mel mask expands to a binary one."""
     fb = mel_filterbank()
-    mask = (rng.random((128, 8)) > 0.5).astype(float)
-    out = mel_mask_expand(mask, fb)
-    assert set(np.unique(out)) <= {0.0, 1.0}
+    assign = mel_bin_assignment(fb)
+    assert np.all(fb.weights[:, 0] == 0.0) and assign[0] == 0
+    tied = MelFilterbank(
+        np.array([[0.0, 1.0, 0.5, 0.0], [0.0, 1.0, 0.5, 1.0], [0.0, 0.0, 0.5, 1.0]]),
+        sample_rate=SR, n_fft=6,
+    )
+    assert mel_bin_assignment(tied).tolist() == [0, 0, 0, 1]
+    mask = (rng.random((128, 3)) > 0.5).astype(float)
+    assert set(np.unique(mask[assign])) <= {0.0, 1.0}
 
 
 # -- decimator -------------------------------------------------------------

@@ -71,24 +71,30 @@ def test_oracle_feeds_unet_the_stream_mel(config, small_pipeline, rng, monkeypat
         assert np.array_equal(got, want)
 
 
-def test_ones_mask_equals_tcn_stream(small_pipeline, small_pipeline_bundle, rng):
+def test_ones_mask_equals_tcn_stream(small_pipeline, constant_mask_bundle, rng):
+    """Under an all-pass UNet mask, stream and oracle both give the TCN's
+    own output: the combiner's masked overlap-add is then an identity."""
     cfg = small_pipeline
+    bundle = constant_mask_bundle(cfg, 42, 0.0)
     w = cfg.tcn.packet_len
     n = 8 * w
     x = 0.3 * rng.standard_normal((2, n))
-    got = enhance_signal(x, small_pipeline_bundle, cfg, mask_override="ones")
     pad_pkts = -(-n // w) + cfg.lookahead_cols
     padded = np.zeros((2, pad_pkts * w))
     padded[:, :n] = x
-    want = TcnEngine(small_pipeline_bundle, cfg.tcn).forward_stream(padded)[:n]
+    want = TcnEngine(bundle, cfg.tcn).forward_stream(padded)[:n]
     scale = max(1.0, float(np.max(np.abs(want))))
-    assert np.max(np.abs(got - want)) <= 1e-5 * scale
+    for oracle in (False, True):
+        got = enhance_signal(x, bundle, cfg, oracle=oracle)
+        assert np.max(np.abs(got - want)) <= 1e-5 * scale
 
 
-def test_zeros_mask_gives_silence(small_pipeline, small_pipeline_bundle, rng):
+def test_zeros_mask_gives_silence(small_pipeline, constant_mask_bundle, rng):
+    bundle = constant_mask_bundle(small_pipeline, 42, -1.0)
     x = rng.standard_normal((2, 5 * small_pipeline.tcn.packet_len))
-    out = enhance_signal(x, small_pipeline_bundle, small_pipeline, mask_override="zeros")
-    assert np.all(out == 0.0)
+    for oracle in (False, True):
+        out = enhance_signal(x, bundle, small_pipeline, oracle=oracle)
+        assert np.all(out == 0.0)
 
 
 @pytest.fixture()
@@ -161,19 +167,22 @@ def test_block_push_equals_packet_pushes(small_pipeline, small_pipeline_bundle,
         assert np.array_equal(a, b)
 
 
-def test_block_push_default_config(rng):
-    """3 s of signal in one push, on the full-size network."""
+def test_block_push_default_config(rng, constant_mask_bundle):
+    """3 s of signal in one push, on the full-size network.  Seed 6's
+    UNet masks every cell, so the all-pass UNet makes a second case
+    whose output is not silence."""
     cfg = PipelineConfig()
-    bundle = random_init(cfg, seed=6)
     w = cfg.tcn.packet_len
     n_pkts = -(-3 * 15625 // w)
     x = 0.3 * rng.standard_normal((2, n_pkts * w))
-    single = CbNetStream(bundle, cfg)
-    want = _push_blocks(single, x, [1] * n_pkts)
-    block = CbNetStream(bundle, cfg)
-    assert np.array_equal(block.push(x), want)
-    for a, b in zip(_state(block), _state(single)):
-        assert np.array_equal(a, b)
+    for bundle in (random_init(cfg, seed=6), constant_mask_bundle(cfg, 6, 0.0)):
+        single = CbNetStream(bundle, cfg)
+        want = _push_blocks(single, x, [1] * n_pkts)
+        block = CbNetStream(bundle, cfg)
+        assert np.array_equal(block.push(x), want)
+        for a, b in zip(_state(block), _state(single)):
+            assert np.array_equal(a, b)
+    assert np.any(want != 0.0)
 
 
 def test_enhance_signal_equals_packet_pushes(small_pipeline, small_pipeline_bundle,
@@ -231,6 +240,34 @@ def test_non_finite_input_is_sanitised(small_pipeline, small_pipeline_bundle,
     assert np.array_equal(got, want)
     assert np.all(np.isfinite(got))
     assert stream.samples_sanitised == count
+
+
+@settings(max_examples=10, deadline=None)
+@given(bad_pkts=st.integers(1, 6), count=st.integers(1, 40),
+       sizes=st.lists(st.integers(1, 6), min_size=1, max_size=10),
+       seed=st.integers(0, 2**16))
+def test_bad_input_leaves_no_trace(small_pipeline, small_pipeline_bundle,
+                                   bad_pkts, count, sizes, seed):
+    """A block of noise mixed with NaN and inf, once older than the TCN
+    receptive span plus every window that reads it, leaves the stream
+    emitting exactly what a cold stream fed only the later signal does."""
+    cfg = small_pipeline
+    w = cfg.tcn.packet_len
+    span = -(-cfg.tcn.receptive_frames // cfg.tcn.frames_per_packet)
+    settled = span + cfg.lookahead_cols + cfg.unet.input_frames
+    rng = np.random.default_rng(seed)
+    bad, _ = _injected(rng.standard_normal((2, bad_pkts * w)), rng, count)
+    n_pkts = max(settled + 8, sum(sizes))
+    sizes = sizes + [1] * (n_pkts - sum(sizes))
+    x = 0.3 * rng.standard_normal((2, n_pkts * w))
+    dirty = CbNetStream(small_pipeline_bundle, cfg)
+    dirty.push(bad)
+    got = _push_blocks(dirty, x, sizes)
+    cold = CbNetStream(small_pipeline_bundle, cfg)
+    want = _push_blocks(cold, x, sizes)
+    assert np.array_equal(got[settled * w :], want[settled * w :])
+    for a, b in zip(_state(dirty), _state(cold)):
+        assert np.array_equal(a, b)
 
 
 def test_rejected_push_leaves_state_unchanged(small_pipeline, small_pipeline_bundle,

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from clearstream.dsp import ComplexSpectrogram
+from clearstream.metrics import oracle_mask
 from clearstream.unet import (
     UNetConfig,
     UNetEngine,
-    ibm_training_target,
     threshold_mask,
     unet_flop_count,
 )
@@ -166,29 +167,22 @@ def test_threshold_mask_boundary_and_monotonicity(rng):
 
 
 def test_ibm_target_brute_force(rng):
-    target = rng.uniform(0, 2, size=(6, 5))
-    others = [rng.uniform(0, 2, size=(6, 5)) for _ in range(3)]
-    mask = ibm_training_target(target, others)
+    """The IBM, the binary target a mask refiner estimates, from
+    metrics.oracle_mask: 1 where the target magnitude is >= every
+    interferer's."""
+
+    def spec(shape):
+        mag = rng.uniform(0, 2, size=shape)
+        return ComplexSpectrogram(mag * np.exp(2j * np.pi * rng.random(shape)))
+
+    target = spec((6, 5))
+    others = [spec((6, 5)) for _ in range(3)]
+    mask, _ = oracle_mask("ibm", target, others)
     for i in range(6):
         for j in range(5):
-            want = 1.0 if all(target[i, j] >= o[i, j] for o in others) else 0.0
+            t = abs(target.data[i, j])
+            want = 1.0 if all(t >= abs(o.data[i, j]) for o in others) else 0.0
             assert mask[i, j] == want
-
-
-def test_ibm_target_edge_cases():
-    target = np.ones((3, 3))
-    assert np.all(ibm_training_target(target, []) == 1.0)
-    assert np.all(ibm_training_target(target, [np.ones((3, 3))]) == 1.0)  # ties pass
-    assert np.all(ibm_training_target(target, [2 * np.ones((3, 3))]) == 0.0)
-
-    class Spec:
-        def __init__(self, data):
-            self.data = data
-
-    wrapped = ibm_training_target(Spec(target), [Spec(np.zeros((3, 3)))])
-    assert np.all(wrapped == 1.0)
-    with pytest.raises(ValueError, match="shape"):
-        ibm_training_target(target, [np.ones((2, 3))])
 
 
 def test_flop_count_matches_instrumented_forward(small_unet, rng):
