@@ -348,7 +348,9 @@ def cmd_bench(args) -> int:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     print(
         f"flops/packet: tcn cached {cached.tcn_flops_cached:,}  "
-        f"uncached {cached.tcn_flops_uncached:,}  unet {cached.unet_flops:,}  "
+        f"uncached {cached.tcn_flops_uncached:,}  unet {cached.unet_flops:,} "
+        f"(full forward; {cached.unet_flops_per_push:,} per cached push, "
+        f"{uncached.unet_flops_per_push:,} uncached)  "
         f"total {cached.net_flops_per_packet:,}"
     )
     print(f"packet budget {cached.packet_ms:.1f} ms")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import freqz, remez
 
 DEFAULT_SAMPLE_RATE = 15625.0
 DEFAULT_HOP = 350
@@ -223,6 +222,8 @@ DECIMATOR_STOP_EDGE = 0.32
 
 @lru_cache(maxsize=1)
 def decimator_taps() -> np.ndarray:
+    from scipy.signal import remez  # imported on use: it is slow to import
+
     taps = remez(
         DECIMATOR_TAPS,
         [0.0, DECIMATOR_PASS_EDGE, DECIMATOR_STOP_EDGE, 0.5],
@@ -236,6 +237,8 @@ def decimator_taps() -> np.ndarray:
 
 def decimator_stopband_db() -> float:
     """Worst-case attenuation (dB) over the designed stopband."""
+    from scipy.signal import freqz
+
     taps = decimator_taps()
     w, h = freqz(taps, worN=4096, fs=1.0)
     stop = np.abs(h[w >= DECIMATOR_STOP_EDGE])

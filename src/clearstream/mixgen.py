@@ -22,7 +22,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve, resample_poly
 
 from .dsp import WaveBuffer
 from .metrics import si_sdr
@@ -95,29 +94,6 @@ class RoomSpec:
     @property
     def reflection_coeff(self) -> float:
         return math.sqrt(max(0.0, 1.0 - self.absorption))
-
-
-@dataclass(frozen=True)
-class SourcePlacement:
-    """Array and source geometry, relative to the room centre.
-
-    The two mics straddle the centre along x; azimuth 0 points along +y
-    (straight ahead), 90 degrees along +x (toward the right mic).
-    """
-
-    mic_spacing: float = DEFAULT_MIC_SPACING
-    target_distance: float = 1.5
-    interferer_distance: float = 2.0
-    interferer_azimuth_deg: float = 60.0
-    background_distance: float | None = None
-    background_azimuth_deg: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.mic_spacing <= 0:
-            raise ValueError("mic_spacing must be positive")
-        for name in ("target_distance", "interferer_distance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -236,6 +212,8 @@ def render_binaural(dry, rirs: tuple[Rir, Rir]) -> WaveBuffer:
     else:
         x = np.asarray(dry, dtype=np.float64)
         sr = rirs[0].sample_rate
+    from scipy.signal import fftconvolve  # imported on use: it is slow to import
+
     n_out = len(x) + max(len(r.taps) for r in rirs) - 1
     chans = np.zeros((2, n_out))
     for ch, rir in enumerate(rirs):
@@ -305,6 +283,8 @@ def _draw_dry(
     wav = read_wav(path)
     x = wav.data.mean(axis=0)
     if wav.sample_rate != sample_rate:
+        from scipy.signal import resample_poly
+
         ratio = Fraction(int(round(sample_rate)), int(round(wav.sample_rate)))
         x = resample_poly(x, ratio.numerator, ratio.denominator)
     if len(x) >= n_samples:

@@ -1,11 +1,11 @@
 """End-to-end streaming enhancer: TCN, mel-mask UNet, spectral combine.
 
 Per push of k >= 1 350-sample stereo packets the stream sets
-non-finite input samples to 0, then pushes the block through the
-streaming TCN in one pass, obtaining the k enhanced mono packets that
-sit `lookahead` (700 samples) behind the newest input.  Each layer's
-pointwise GEMM runs once over all 7k new frames, so the pass reads the
-TCN weights once instead of k times.  Only the decoder runs per packet,
+non-finite samples, and those beyond the float32 range, to 0, then
+pushes the block through the streaming TCN in one pass, obtaining the
+k enhanced mono packets that sit `lookahead` (700 samples) behind the
+newest input.  Each layer's pointwise GEMM runs once over all 7k new
+frames, so the pass reads the TCN weights once instead of k times.  Only the decoder runs per packet,
 as one stacked matmul: OpenBLAS's (M, 512) @ (512, 50) decoder GEMM
 gives rows that differ in the last bit for M >= 14, so one GEMM over
 the block would not match single pushes.  Then, per packet, the stream
@@ -16,15 +16,18 @@ the block would not match single pushes.  Then, per packet, the stream
    column and computes only its `cover_frames` newest columns (the
    newest complete STFT frame and the ones zero-padded at the window
    end; every older frame is unchanged by the shift), then runs the
-   UNet for the `cover_frames` mask columns the combiner reads and
-   thresholds them to a binary mel mask;
+   UNet for the `cover_frames` mask columns the combiner reads, through
+   the stream's UNetCache, and thresholds them to a binary mel mask;
 3. expands the mask to linear bins, applies it to the STFT frames of
    the TCN-output window that cover the newest complete TCN packet, and
    re-synthesizes exactly those 350 samples by weighted overlap-add.
 
 Computing only those mask columns is exact: the UNet convs are local
 and zero-padded, so a mask column depends on a bounded cone of the up
-path, and the down path still runs in full (see UNetEngine.forward).
+path (see UNetEngine.forward).  The cache is exact too: each down level
+copies the columns a one-column shift of the window leaves unchanged
+from its map of 2^L pushes back, and recomputes the few near the
+window's edges (see UNetCache).
 
 The mixture window ends `lookahead` samples after the emitted packet
 and the TCN window ends at the packet's right edge, so the mel mask
@@ -35,9 +38,9 @@ sample t is emitted once input has advanced past t + lookahead + W.
 
 offline_oracle() recomputes the same quantities without any streaming
 state (batch TCN pass, the mixture's mel frames computed once, a UNet
-per window placement over the mask columns the combiner reads, and a
-per-window masked iSTFT) and must agree with the stream to float
-rounding.  Both paths compute every mel column through one per-frame
+without a cache per window placement over the mask columns the
+combiner reads, and a per-window masked iSTFT) and must agree with the
+stream to float rounding.  Both paths compute every mel column through one per-frame
 routine, _Combiner.mel_frames, so their UNet inputs are bit-identical.
 """
 
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -59,12 +62,14 @@ from .dsp import (
     mel_filterbank,
 )
 from .tcn import TcnConfig, TcnEngine, tcn_flop_count
-from .unet import UNetConfig, UNetEngine, threshold_mask, unet_flop_count
+from .unet import UNetCache, UNetConfig, UNetEngine, threshold_mask, unet_flop_count
 
 PACKET_MS = 22.4  # 350 samples at 15.625 kHz
 # enhance_signal pushes at most this many packets per call: it bounds
 # the TCN activations of long inputs at about 1.8 MB per layer
 _BLOCK_PACKETS = 64
+# larger input samples are set to 0, like NaN and inf
+_SAMPLE_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -123,14 +128,13 @@ class PipelineConfig:
         """
         if not isinstance(d, dict):
             raise ValueError("pipeline config must be a JSON object")
-        kw = dict(d)
+        kw = _typed(PipelineConfig, d, "pipeline config")
         for name, cls in (("tcn", TcnConfig), ("unet", UNetConfig)):
             sec = kw.get(name, {})
             if not isinstance(sec, dict):
                 raise ValueError(f"pipeline config {name!r} must be a JSON object")
+            sec = _typed(cls, sec, f"pipeline config {name!r}")
             try:
-                if "dilations" in sec:
-                    sec = {**sec, "dilations": tuple(sec["dilations"])}
                 kw[name] = cls(**sec)
             except TypeError as e:
                 raise ValueError(f"pipeline config {name!r}: {e}") from e
@@ -138,6 +142,33 @@ class PipelineConfig:
             return PipelineConfig(**kw)
         except TypeError as e:
             raise ValueError(f"pipeline config: {e}") from e
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _typed(cls, d: dict, where: str) -> dict:
+    """d with each value checked against the type of the cls field it
+    names: int fields take integers (not bools), float fields integers
+    or floats, tuple[int, ...] fields a list of integers.  Other keys
+    pass through for the constructor to judge."""
+    types = {f.name: f.type for f in fields(cls)}
+    out = dict(d)
+    for key, v in d.items():
+        t = types.get(key)
+        if t == "int":
+            ok = _is_int(v)
+        elif t == "float":
+            ok = _is_int(v) or isinstance(v, float)
+        elif t == "tuple[int, ...]":
+            ok = isinstance(v, (list, tuple)) and all(map(_is_int, v))
+            out[key] = tuple(v) if ok else v
+        else:
+            continue
+        if not ok:
+            raise ValueError(f"{where}: {key!r} must be {t}, got {v!r}")
+    return out
 
 
 def _pad_slice(x: np.ndarray, start: int, end: int) -> np.ndarray:
@@ -231,13 +262,15 @@ class CbNetStream:
         self.unet_engine = UNetEngine(bundle, self.cfg.unet)
         self.comb = _Combiner(self.cfg)
         self.tcn_state = self.tcn_engine.init_state()
+        self.unet_cache: UNetCache | None = UNetCache(self.cfg.unet)
         n = self.cfg.window_samples
         self.mix_win = np.zeros(n)
         self.tcn_win = np.zeros(n)
         # mel of mix_win; that of the silent window is exactly 0
         self.mix_mel = np.zeros((self.cfg.unet.input_mel, self.cfg.unet.input_frames))
         self.packets_seen = 0
-        self.samples_sanitised = 0  # non-finite input samples set to 0
+        # input samples set to 0: non-finite, or beyond the float32 range
+        self.samples_sanitised = 0
 
     def _advance_mel(self) -> np.ndarray:
         """Shift mix_mel one column and compute its newest columns."""
@@ -250,7 +283,8 @@ class CbNetStream:
 
     def _mask(self) -> np.ndarray:
         cfg = self.cfg
-        probs = self.unet_engine.forward(self._advance_mel(), cfg.mask_cols)
+        probs = self.unet_engine.forward(self._advance_mel(), cfg.mask_cols,
+                                         cache=self.unet_cache)
         return threshold_mask(probs, cfg.unet.threshold)
 
     def _tcn_push(self, x: np.ndarray) -> np.ndarray:
@@ -261,11 +295,13 @@ class CbNetStream:
         emit k * W enhanced mono samples.
 
         Any other shape raises ValueError and changes nothing.
-        Non-finite input samples are replaced by 0 before any state
-        changes, and counted in samples_sanitised.  The TCN then runs
-        once over the whole block; the mixture window, mel, UNet and
-        combiner still step packet by packet, so the output is
-        bit-identical to k single-packet pushes.
+        Samples that are not finite or exceed the float32 range in
+        magnitude (float32 being the widest sample format wavio reads)
+        are replaced by 0 before any state changes, and counted in
+        samples_sanitised.  The TCN then runs once over the whole block;
+        the mixture window, mel, UNet and combiner still step packet by
+        packet, so the output is bit-identical to k single-packet
+        pushes.
 
         The emitted samples cover the input `lookahead` samples back; the
         first lookahead/W packets of a cold stream are the pre-stream
@@ -278,10 +314,10 @@ class CbNetStream:
         cfg = self.cfg
         cfg.tcn.packets_in(x)
         w = cfg.tcn.packet_len
-        finite = np.isfinite(x)
-        if not finite.all():
-            self.samples_sanitised += int(finite.size - np.count_nonzero(finite))
-            x = np.where(finite, x, 0.0)
+        ok = np.abs(x) <= _SAMPLE_MAX  # False for NaN too
+        if not ok.all():
+            self.samples_sanitised += int(ok.size - np.count_nonzero(ok))
+            x = np.where(ok, x, 0.0)
         tcn_out = self._tcn_push(x)
         out = np.zeros(x.shape[1])
         for s in range(0, x.shape[1], w):
@@ -456,6 +492,11 @@ def latency_total(budget: LatencyBudget | None = None) -> LatencyReport:
 
 @dataclass
 class BenchReport:
+    """Per-packet timings and FLOPs.  unet_flops prices one full forward;
+    unet_flops_per_push is what the timed pushes ran, counted by the
+    engine's tally, and net_flops_per_packet adds the mode's TCN cost
+    to it."""
+
     mode: str
     n_packets: int
     mean_ms: float
@@ -466,6 +507,7 @@ class BenchReport:
     tcn_flops_cached: int
     tcn_flops_uncached: int
     unet_flops: int
+    unet_flops_per_push: int
     net_flops_per_packet: int
 
     def to_json(self) -> str:
@@ -473,11 +515,12 @@ class BenchReport:
 
 
 class _UncachedRunner(CbNetStream):
-    """The stream with per-packet full TCN recompute (no activation
-    reuse), for comparison."""
+    """The stream with per-packet full TCN recompute and a UNet without
+    a cache (no activation reuse), for comparison."""
 
     def __init__(self, bundle, cfg: PipelineConfig):
         super().__init__(bundle, cfg)
+        self.unet_cache = None
         self.in_win = np.zeros((cfg.tcn.in_channels, cfg.tcn.min_input_samples))
 
     def _tcn_push(self, x: np.ndarray) -> np.ndarray:
@@ -503,7 +546,10 @@ def bench_packet(bundle, config: PipelineConfig | None = None,
     packets = rng.standard_normal((n_packets + warmup, cfg.tcn.in_channels, w))
     packets *= 0.1
     times = []
+    tally = runner.unet_engine.tally
     for i in range(n_packets + warmup):
+        if i == warmup:
+            tally.reset()
         t0 = time.perf_counter()
         runner.push(packets[i])
         dt = (time.perf_counter() - t0) * 1e3
@@ -512,6 +558,8 @@ def bench_packet(bundle, config: PipelineConfig | None = None,
     times_arr = np.asarray(times)
     packet_ms = 1e3 * w / cfg.sample_rate
     p95 = float(np.percentile(times_arr, 95))
+    unet_per_push = round(2 * tally.total() / n_packets)
+    tcn = tcn_flop_count(cfg.tcn, cached=cached)
     return BenchReport(
         mode="cached" if cached else "uncached",
         n_packets=n_packets,
@@ -523,6 +571,6 @@ def bench_packet(bundle, config: PipelineConfig | None = None,
         tcn_flops_cached=tcn_flop_count(cfg.tcn, cached=True),
         tcn_flops_uncached=tcn_flop_count(cfg.tcn, cached=False),
         unet_flops=unet_flop_count(cfg.unet),
-        net_flops_per_packet=tcn_flop_count(cfg.tcn, cached=True)
-        + unet_flop_count(cfg.unet),
+        unet_flops_per_push=unet_per_push,
+        net_flops_per_packet=tcn + unet_per_push,
     )

@@ -10,15 +10,22 @@ base_channels and double per level on the way down.  A final 1x1 conv and sigmoi
 per-cell probabilities; thresholding at 0.5 (>= passes) gives the
 binary time-frequency mask.
 
-Everything is a pure function of (weights, input): no state is kept
-between forwards, so recomputing a sliding window per packet gives the
-same columns a one-shot evaluation would.  A forward can be asked for a
-range of output columns only.  The down path then still runs in full,
-but the up path and the 1x1 head run only on the backward cone of those
+A forward can be asked for a range of output columns only.  The up
+path and the 1x1 head then run only on the backward cone of those
 columns: each conv is local and zero-padded, so a column reads a fixed
 neighbourhood one level down, and the values come out bit-identical to
 the same columns of a full forward.  The stream and the batch oracle
 read just the few mask columns that cover the packet they emit.
+
+Without a cache the down path runs in full and nothing is kept between
+forwards.  A stream, whose window moves one column per packet, passes
+a UNetCache instead: a window shifted by one column is shifted by 2^-L
+columns at level L, so level L reuses its map from 2^L forwards back,
+shifted by one column, and recomputes only the columns whose inputs
+changed (see UNetCache).  Reuse is decided by comparing windows, so the
+output is bit-identical to a cache-free forward for any call sequence.
+Like the column cone, this relies on a float32 GEMM giving each output
+row the same bits whatever the number of rows, which the tests check.
 
 Internally the engine computes in single precision with activations
 laid out channels-last, and each stage owns its pad / accumulator
@@ -111,6 +118,22 @@ class UNetConfig:
         specs.append(("unet.out.b", (1,), self.final_ch))
         return specs
 
+    def up_cols(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """Per up level, the ds-conv output columns that output columns
+        [lo, hi) depend on.
+
+        Walking back from the output: the 1x1 head reads its own
+        columns, a transposed-conv column c comes from ds-conv column
+        c // 2, and a 3x3 ds-conv column reads one column either side
+        of it (clipped at the map edge, where the zero pad stands in).
+        """
+        cols = []
+        for i in reversed(range(self.levels)):
+            a, b = lo // 2, (hi - 1) // 2 + 1
+            cols.append((a, b))
+            lo, hi = max(a - 1, 0), min(b + 1, self.input_frames >> (self.levels - i))
+        return cols[::-1]
+
 
 @dataclass
 class UNetTally:
@@ -125,6 +148,47 @@ class UNetTally:
 
     def reset(self) -> None:
         self.dw = self.pw = self.tc = 0
+
+
+class UNetCache:
+    """The down-path maps one stream carries from one forward to the next.
+
+    Level L keeps its output maps from the last 2^L forwards, oldest
+    first: a window shifted by 2^L columns is shifted by exactly one
+    column at level L, with the same pooling phase.  A level-L column
+    reads the 2^(L+1) - 1 input columns either side of its own 2^L
+    (its reach), so it equals the next column of the map 2^L forwards
+    back wherever that span holds the same values, shifted, and stays
+    inside the window.  The window's right end changes every forward
+    and its left edge reads the zero pad, so the columns near either
+    edge are recomputed (those at the left only when something reads
+    them); every other column is copied.
+
+    links[i] is the number of leading columns in which the window i
+    forwards back equals the one before it shifted left by one: the
+    first column where they differ, found by comparing them, not
+    assumed.  A window that is not a shift of the last one gives a
+    short link, and the levels whose span it falls in recompute in
+    full.  first[L][s] is the first column of map s that holds valid
+    values; the columns before it are never read.
+    """
+
+    def __init__(self, cfg: UNetConfig):
+        self.mel = np.zeros((cfg.input_mel, cfg.input_frames), dtype=np.float32)
+        self.links = np.zeros(1 << (cfg.levels - 1), dtype=np.int64)
+        self.maps = [
+            [np.zeros((cfg.input_mel >> i, cfg.input_frames >> i, c), dtype=np.float32)
+             for _ in range(1 << i)]
+            for i, c in enumerate(cfg.down_out)
+        ]
+        self.first = [np.full(1 << i, cfg.input_frames >> i) for i in range(cfg.levels)]
+
+    def arrays(self) -> list[np.ndarray]:
+        """Every value a later forward can read: the last window, the
+        links, and each map's valid columns."""
+        live = [m[:, f:] for maps, first in zip(self.maps, self.first)
+                for m, f in zip(maps, first)]
+        return [self.mel, self.links, *self.first, *live]
 
 
 def _pool2(x: np.ndarray) -> np.ndarray:
@@ -256,34 +320,94 @@ class UNetEngine:
             np.asarray(t("unet.out.w"), dtype=np.float32).T
         )
         self.out_b = np.asarray(t("unet.out.b"), dtype=np.float32)
+        # pooled input of down levels 1 .. levels-1, then the bottom map
+        # the up path starts from; a cached forward fills only the
+        # columns it reads
+        self.pooled = [
+            np.empty((cfg.input_mel >> i, cfg.input_frames >> i, c), dtype=np.float32)
+            for i, c in enumerate(cfg.down_out, 1)
+        ]
         self.tally = UNetTally()
 
-    def up_cols(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """Per up level, the ds-conv output columns that output columns
-        [lo, hi) depend on.
+    def _tally_down(self, ds: _DsConv, n: int) -> None:
+        px = ds.h * n
+        self.tally.dw += ds.cin * 9 * px
+        self.tally.pw += ds.cout * ds.cin * px
 
-        Walking back from the output: the 1x1 head reads its own
-        columns, a transposed-conv column c comes from ds-conv column
-        c // 2, and a 3x3 ds-conv column reads one column either side
-        of it (clipped at the map edge, where the zero pad stands in).
-        """
-        cols = []
-        for i in reversed(range(self.cfg.levels)):
-            a, b = lo // 2, (hi - 1) // 2 + 1
-            cols.append((a, b))
-            lo, hi = max(a - 1, 0), min(b + 1, self.up[i][0].w)
-        return cols[::-1]
+    def _down(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """The full down path: every level's map and the bottom map."""
+        skips = []
+        for ds in self.down:
+            self._tally_down(ds, ds.w)
+            x = ds.run(x)
+            skips.append(x)
+            x = _pool2(x)
+        return skips, x
+
+    def _down_cached(self, x: np.ndarray, cache: UNetCache,
+                     up: list[tuple[int, int]]) -> tuple[list[np.ndarray], np.ndarray]:
+        """The down path through cache: the same values as _down in every
+        column the up path reads, computing only the columns that
+        cannot be copied from the maps 2^L forwards back."""
+        cfg = self.cfg
+        w = cfg.input_frames
+        differ = np.flatnonzero(np.any(x[:, :-1, 0] != cache.mel[:, 1:], axis=0))
+        links = cache.links
+        links[1:] = links[:-1]
+        links[0] = differ[0] if differ.size else w - 1
+        cache.mel[...] = x[:, :, 0]
+        # same[j]: leading columns that equal those of the window j + 1
+        # forwards back, shifted left by j + 1
+        same = np.minimum.accumulate(links - np.arange(links.size))
+        # Plan from the deepest level up.  need: the first column of this
+        # level's map that the up path or the level below reads.  Columns
+        # [need, start) are copied from the old map, [start, w) computed.
+        need = 2 * max(up[0][0] - 1, 0)
+        plan = []
+        for i in reversed(range(cfg.levels)):
+            need = min(need, 2 * up[cfg.levels - 1 - i][0])
+            reach = (2 << i) - 1
+            changed = max((int(same[(1 << i) - 1]) - reach) >> i, 0)
+            edge = -(-reach >> i)  # columns whose reach crosses the left pad
+            reuse = edge <= need and cache.first[i][0] <= need + 1
+            start = max(changed, need) if reuse else need
+            plan.append((need, start))
+            need = 2 * max(start - 1, 0)
+        skips = []
+        for i, (ds, (need, start)) in enumerate(zip(self.down, reversed(plan))):
+            if i:
+                k = max(start - 1, 0)
+                x = self.pooled[i - 1]
+                x[:, k:] = _pool2(skips[-1][:, 2 * k :])
+            maps, first = cache.maps[i], cache.first[i]
+            m = maps.pop(0)
+            m[:, need:start] = m[:, need + 1 : start + 1]
+            m[:, start:] = ds.run(x, start)
+            self._tally_down(ds, ds.w - start)
+            maps.append(m)
+            first[:-1] = first[1:]
+            first[-1] = need
+            skips.append(m)
+        k = max(up[0][0] - 1, 0)
+        bottom = self.pooled[-1]
+        bottom[:, k:] = _pool2(skips[-1][:, 2 * k :])
+        return skips, bottom
 
     def forward(self, mel_input: np.ndarray,
-                cols: tuple[int, int] | None = None) -> np.ndarray:
+                cols: tuple[int, int] | None = None,
+                cache: UNetCache | None = None) -> np.ndarray:
         """Mel window (input_mel, input_frames) -> probability map, each
         value sigmoid-activated in (0, 1).
 
         cols = (lo, hi) asks for output columns [lo, hi) only, shape
         (input_mel, hi - lo); the default is every column.  The values
-        equal forward(mel_input)[:, lo:hi] bit for bit: the down path
-        runs in full, and the up path and head run on the columns of
-        up_cols(lo, hi), which hold every value those outputs read.
+        equal forward(mel_input)[:, lo:hi] bit for bit: the up path and
+        head run on the columns of cfg.up_cols(lo, hi), which hold every
+        value those outputs read.
+
+        With a cache, the down path reuses the maps of earlier forwards
+        through that cache and updates it; the result is still bit for
+        bit that of a forward without one.
         """
         cfg = self.cfg
         mel_input = np.asarray(mel_input, dtype=np.float64)
@@ -297,15 +421,12 @@ class UNetEngine:
         if not np.all(np.isfinite(mel_input)):
             raise ValueError("mel input must be finite")
         x = mel_input.astype(np.float32)[:, :, None]
-        skips = []
-        for ds in self.down:
-            px = x.shape[0] * x.shape[1]
-            self.tally.dw += ds.cin * 9 * px
-            self.tally.pw += ds.cout * ds.cin * px
-            x = ds.run(x)
-            skips.append(x)
-            x = _pool2(x)
-        for i, ((ds, tc), (a, b)) in enumerate(zip(self.up, self.up_cols(lo, hi))):
+        up = cfg.up_cols(lo, hi)
+        if cache is None:
+            skips, x = self._down(x)
+        else:
+            skips, x = self._down_cached(x, cache, up)
+        for i, ((ds, tc), (a, b)) in enumerate(zip(self.up, up)):
             px = ds.h * (b - a)
             self.tally.dw += ds.cin * 9 * px
             self.tally.pw += ds.cout * ds.cin * px
@@ -330,24 +451,27 @@ def threshold_mask(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     return (probs >= threshold).astype(np.float64)
 
 
-def unet_flop_count(config: UNetConfig | None = None) -> int:
-    """Analytic FLOPs for one full forward pass.
+def unet_flop_count(config: UNetConfig | None = None,
+                    cols: tuple[int, int] | None = None) -> int:
+    """Analytic FLOPs of one forward without a cache: the full down path,
+    then the up path and head over output columns cols = (lo, hi)
+    (default every column, a full forward).
 
     Convs (depthwise, pointwise, transposed) count 2 FLOPs per MAC;
     pooling, concatenation, and activations are not counted.
     """
     cfg = config or UNetConfig()
     h, w = cfg.input_mel, cfg.input_frames
+    lo, hi = (0, w) if cols is None else cols
     macs = 0
     for i in range(cfg.levels):
         px = (h >> i) * (w >> i)
         macs += cfg.down_in[i] * 9 * px
         macs += cfg.down_in[i] * cfg.down_out[i] * px
-    for i in range(cfg.levels):
-        shift = cfg.levels - i
-        px = (h >> shift) * (w >> shift)
+    for i, (a, b) in enumerate(cfg.up_cols(lo, hi)):
+        px = (h >> (cfg.levels - i)) * (b - a)
         macs += cfg.up_in[i] * 9 * px
         macs += cfg.up_in[i] * cfg.up_mid[i] * px
         macs += cfg.up_mid[i] * cfg.tc_out[i] * 4 * px
-    macs += cfg.final_ch * h * w
+    macs += cfg.final_ch * h * (hi - lo)
     return 2 * macs

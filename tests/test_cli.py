@@ -120,6 +120,8 @@ _BAD_CONFIGS = {
     "cfg_bad_value": '{"tcn": {"dilations": 5}}',
     "cfg_section_not_object": '{"tcn": [1]}',
     "cfg_bad_json": "{bad",
+    "cfg_str_scalar": '{"sample_rate": "x"}',
+    "cfg_str_section_scalar": '{"tcn": {"latent_channels": "x"}}',
 }
 _CONFIG_CMDS = {
     "enhance": ["enhance", "{wav}", "{out}/o.wav", "--weights", "{weights}"],

@@ -20,7 +20,7 @@ from clearstream.pipeline import (
 )
 from clearstream.dsp import WaveBuffer, decimate_by_2
 from clearstream.tcn import TcnEngine
-from clearstream.unet import UNetEngine
+from clearstream.unet import UNetEngine, threshold_mask, unet_flop_count
 from clearstream.wavio import read_wav, write_wav
 from clearstream.weights import random_init
 
@@ -55,9 +55,9 @@ def test_oracle_feeds_unet_the_stream_mel(config, small_pipeline, rng, monkeypat
     seen = []
     real_forward = UNetEngine.forward
 
-    def record(self, mel, cols=None):
+    def record(self, mel, cols=None, **kwargs):
         seen.append((mel.copy(), cols))
-        return real_forward(self, mel, cols)
+        return real_forward(self, mel, cols, **kwargs)
 
     monkeypatch.setattr(UNetEngine, "forward", record)
     x = 0.3 * rng.standard_normal((2, 6 * cfg.tcn.packet_len))
@@ -145,7 +145,7 @@ def _push_blocks(stream, x, sizes):
 def _state(stream):
     """Every array the stream carries from one push to the next."""
     return ([stream.mix_win, stream.tcn_win, stream.mix_mel]
-            + stream.tcn_state.bufs)
+            + stream.tcn_state.bufs + stream.unet_cache.arrays())
 
 
 @settings(max_examples=15, deadline=None)
@@ -223,23 +223,49 @@ def _injected(x, rng, count):
     return bad, clean
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
 @settings(max_examples=15, deadline=None)
 @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=12),
-       count=st.integers(1, 40), seed=st.integers(0, 2**16))
+       values=st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                       min_size=1, max_size=40),
+       seed=st.integers(0, 2**16))
 def test_non_finite_input_is_sanitised(small_pipeline, small_pipeline_bundle,
-                                       sizes, count, seed):
-    """push never raises on NaN or inf, and emits exactly what it emits
-    for the same input with those samples set to 0."""
+                                       sizes, values, seed):
+    """push never raises on any float64 sample, NaN and inf included,
+    and emits exactly what it emits for the same input with the samples
+    beyond the float32 range (and NaN) set to 0."""
     cfg = small_pipeline
     rng = np.random.default_rng(seed)
     x = 0.3 * rng.standard_normal((2, sum(sizes) * cfg.tcn.packet_len))
-    bad, clean = _injected(x, rng, count)
+    values = values[: x.size]
+    idx = rng.choice(x.size, size=len(values), replace=False)
+    bad, clean = x.copy(), x.copy()
+    bad.flat[idx] = values
+    clean.flat[idx] = [v if abs(v) <= _F32_MAX else 0.0 for v in values]
     stream = CbNetStream(small_pipeline_bundle, cfg)
     got = _push_blocks(stream, bad, sizes)
     want = _push_blocks(CbNetStream(small_pipeline_bundle, cfg), clean, sizes)
     assert np.array_equal(got, want)
     assert np.all(np.isfinite(got))
-    assert stream.samples_sanitised == count
+    assert stream.samples_sanitised == sum(not abs(v) <= _F32_MAX for v in values)
+
+
+def test_huge_samples_do_not_raise():
+    """Four pushes of huge finite packets once raised from the UNet's
+    finite-input check on the third push, after the TCN had advanced.
+    Samples beyond the float32 range are now set to 0 at ingress; those
+    at its edge pass through and still give finite output."""
+    cfg = PipelineConfig()
+    w = cfg.tcn.packet_len
+    for value, dropped in ((1e306, True), (1.797e308, True), (_F32_MAX, False),
+                           (-_F32_MAX, False)):
+        stream = CbNetStream(random_init(cfg, seed=1), cfg)
+        for _ in range(4):
+            assert np.all(np.isfinite(stream.push(np.full((2, w), value))))
+        assert stream.packets_seen == 4
+        assert stream.samples_sanitised == (4 * 2 * w if dropped else 0)
 
 
 @settings(max_examples=10, deadline=None)
@@ -334,8 +360,45 @@ def test_enhance_deterministic(small_pipeline, small_pipeline_bundle, rng):
     assert np.array_equal(a, b)
 
 
+@pytest.fixture()
+def unet_calls(monkeypatch):
+    """Every UNetEngine.forward call made through a cache, as (engine,
+    mel, cols, probs)."""
+    calls = []
+    real = UNetEngine.forward
+
+    def record(self, mel, cols=None, cache=None):
+        probs = real(self, mel, cols, cache=cache)
+        if cache is not None:
+            calls.append((self, mel.copy(), cols, probs))
+        return probs
+
+    monkeypatch.setattr(UNetEngine, "forward", record)
+    return calls
+
+
+@pytest.mark.parametrize("config", ["small", "default"])
+def test_stream_unet_cache_equals_cache_free_forward(config, small_pipeline, rng,
+                                                     unet_calls):
+    """Every mask the stream computes through its UNet cache, over
+    single and block pushes, equals a forward without the cache.  The
+    weight seeds give masks that hold both 0s and 1s."""
+    cfg, seed = (small_pipeline, 42) if config == "small" else (PipelineConfig(), 1)
+    stream = CbNetStream(random_init(cfg, seed=seed), cfg)
+    w = cfg.tcn.packet_len
+    sizes = [1] * 12 + [5, 1, 9, 2, 1, 1, 3] + [1] * 10
+    _push_blocks(stream, 0.3 * rng.standard_normal((2, sum(sizes) * w)), sizes)
+    assert len(unet_calls) == sum(sizes) - cfg.lookahead_cols
+    masks = []
+    for engine, mel, cols, probs in unet_calls:
+        assert np.array_equal(probs, engine.forward(mel, cols))
+        masks.append(threshold_mask(probs))
+    assert np.min(masks) == 0.0 and np.max(masks) == 1.0
+
+
 def test_uncached_runner_matches_stream(small_pipeline, small_pipeline_bundle, rng):
-    """The no-reuse reference runner must emit the same packets."""
+    """The no-reuse reference runner, which runs the TCN and the UNet
+    without their caches, must emit the same packets."""
     cfg = small_pipeline
     w = cfg.tcn.packet_len
     cached = CbNetStream(small_pipeline_bundle, cfg)
@@ -430,6 +493,8 @@ def test_config_dict_roundtrip(small_pipeline):
 
 
 def test_bench_report_shape(small_pipeline, small_pipeline_bundle):
+    cfg = small_pipeline
+    reps = {}
     for cached in (True, False):
         rep = bench_packet(
             small_pipeline_bundle, small_pipeline, n_packets=10, cached=cached
@@ -440,3 +505,11 @@ def test_bench_report_shape(small_pipeline, small_pipeline_bundle):
         assert rep.tcn_flops_uncached > rep.tcn_flops_cached > 0
         parsed = json.loads(rep.to_json())
         assert parsed["unet_flops"] == rep.unet_flops
+        reps[cached] = rep
+    # every timed push runs the UNet: the uncached runner its column cone,
+    # the stream its cached step, which does less
+    cone = unet_flop_count(cfg.unet, cfg.mask_cols)
+    assert reps[False].unet_flops_per_push == cone
+    assert 0 < reps[True].unet_flops_per_push < cone
+    assert reps[True].net_flops_per_packet == (reps[True].tcn_flops_cached
+                                               + reps[True].unet_flops_per_push)

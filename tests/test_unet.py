@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clearstream.dsp import ComplexSpectrogram
 from clearstream.metrics import oracle_mask
+from clearstream.pipeline import PipelineConfig
 from clearstream.unet import (
+    UNetCache,
     UNetConfig,
     UNetEngine,
     threshold_mask,
@@ -189,9 +193,15 @@ def test_flop_count_matches_instrumented_forward(small_unet, rng):
     for cfg in (small_unet, UNetConfig()):
         bundle = random_init(cfg, seed=2)
         engine = UNetEngine(bundle, cfg)
-        engine.tally.reset()
-        engine.forward(rng.standard_normal((cfg.input_mel, cfg.input_frames)))
-        assert 2 * engine.tally.total() == unet_flop_count(cfg)
+        mel = rng.standard_normal((cfg.input_mel, cfg.input_frames))
+        w = cfg.input_frames
+        for cols in (None, (0, 1), (w - 5, w - 2), (w - 1, w)):
+            engine.tally.reset()
+            engine.forward(mel, cols)
+            assert 2 * engine.tally.total() == unet_flop_count(cfg, cols), cols
+    cfg = PipelineConfig()
+    assert unet_flop_count(cfg.unet, cfg.mask_cols) == 12_124_160
+    assert unet_flop_count(cfg.unet) == 32_399_360
 
 
 def test_flop_scaling_with_width():
@@ -224,3 +234,112 @@ def test_config_validation():
         UNetConfig(base_channels=0)
     with pytest.raises(ValueError):
         UNetConfig(threshold=1.0)
+
+
+# Per config, the weight seeds the cache tests use, and the spec their
+# bundles are drawn from.  On log1p(16 |N(0, 1)|) windows each seed's
+# masks hold both 0s and 1s, which mixed_engines checks; many seeds of
+# an untrained UNet pass or block every cell.  The default config uses
+# the acceptance tests' pipeline seeds (seed 9's UNet passes every cell).
+_SMALL = UNetConfig(input_mel=16, input_frames=16, base_channels=2, levels=2)
+# input_frames == 2**levels: the deepest map is one column wide, so its
+# left and right edges are the same column
+_EDGE = UNetConfig(input_mel=16, input_frames=16, base_channels=2, levels=4)
+_CACHE_CASES = {
+    "small": (_SMALL, _SMALL, (1, 3)),
+    "edge": (_EDGE, _EDGE, (0, 4, 6)),
+    "default": (UNetConfig(), PipelineConfig(), (1, 3, 4, 8)),
+}
+
+
+def _window(cfg, rng, cols=None):
+    shape = (cfg.input_mel, cols or cfg.input_frames)
+    return np.log1p(16 * np.abs(rng.standard_normal(shape)))
+
+
+@pytest.fixture(scope="module")
+def mixed_engines():
+    engines = {}
+    rng = np.random.default_rng(5)
+    for name, (cfg, spec, seeds) in _CACHE_CASES.items():
+        engines[name] = [UNetEngine(random_init(spec, seed=s), cfg) for s in seeds]
+        for engine in engines[name]:
+            masks = [threshold_mask(engine.forward(_window(cfg, rng))) for _ in range(4)]
+            assert np.min(masks) == 0.0 and np.max(masks) == 1.0
+    return engines
+
+
+@pytest.mark.parametrize("config", sorted(_CACHE_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cache_is_bit_identical_to_cache_free(config, mixed_engines, data):
+    """Over any sequence of windows and column ranges, a forward through
+    a cache equals a forward without one.  The windows mostly move one
+    column and redraw up to 4 columns at the right end, as the stream's
+    do; some jump several columns, are redrawn whole or repeat."""
+    engines = mixed_engines[config]
+    engine = engines[data.draw(st.integers(0, len(engines) - 1))]
+    cfg = engine.cfg
+    w = cfg.input_frames
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    cache = UNetCache(cfg)
+    mel = _window(cfg, rng)
+    cols = (w - 5, w - 2)
+    kinds = ["shift"] * 6 + ["jump", "random", "repeat", "cols"]
+    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=40)):
+        if kind in ("shift", "jump"):
+            step = 1 if kind == "shift" else data.draw(st.integers(2, 9))
+            mel = np.concatenate([mel[:, step:], _window(cfg, rng, step)], axis=1)
+            tail = data.draw(st.integers(0, 4))
+            if tail:
+                mel[:, w - tail :] = _window(cfg, rng, tail)
+        elif kind == "random":
+            mel = _window(cfg, rng)
+        elif kind == "cols":
+            lo = data.draw(st.integers(0, w - 1))
+            cols = data.draw(st.sampled_from([None, (lo, data.draw(st.integers(lo + 1, w)))]))
+        got = engine.forward(mel, cols, cache=cache)
+        assert np.array_equal(got, engine.forward(mel, cols)), kind
+
+
+def test_cache_recomputes_four_columns_per_level(mixed_engines):
+    """Once primed by 2^(levels-1) one-column shifts, a default-config
+    forward over the stream's mask columns computes only 4 columns of
+    each down level: the one the newest frame completes and the 3 that
+    read the redrawn frames or the zero pad."""
+    engine = mixed_engines["default"][0]
+    cfg = engine.cfg
+    pipe = PipelineConfig()
+    rng = np.random.default_rng(6)
+    cache = UNetCache(cfg)
+    signal = _window(cfg, rng, 100)
+    for n in range(20):
+        mel = signal[:, n : n + cfg.input_frames].copy()
+        mel[:, -2:] = _window(cfg, rng, 2)  # the zero-padded tail frames
+        engine.tally.reset()
+        engine.forward(mel, pipe.mask_cols, cache=cache)
+
+    def down_macs(cols):
+        return sum((cfg.down_in[i] * 9 + cfg.down_in[i] * cfg.down_out[i])
+                   * (cfg.input_mel >> i) * cols(i) for i in range(cfg.levels))
+
+    full = down_macs(lambda i: cfg.input_frames >> i)
+    want = unet_flop_count(cfg, pipe.mask_cols) - 2 * full + 2 * down_macs(lambda i: 4)
+    assert 2 * engine.tally.total() == want
+
+
+def test_cache_serves_every_column_of_a_shifting_window(mixed_engines):
+    """A primed cache asked, window by window, for each single column in
+    turn: for the columns left of the stream's, the up path reads map
+    columns the down path's own recomputed range does not reach."""
+    engine = mixed_engines["default"][1]
+    cfg = engine.cfg
+    w = cfg.input_frames
+    rng = np.random.default_rng(8)
+    cache = UNetCache(cfg)
+    signal = _window(cfg, rng, 2 * w + 10)
+    for n in range(w + 10):
+        mel = signal[:, n : n + w]
+        cols = (w - 5, w - 2) if n < 10 else (n - 10, n - 9)
+        assert np.array_equal(engine.forward(mel, cols, cache=cache),
+                              engine.forward(mel, cols)), cols
