@@ -37,11 +37,15 @@ delay is therefore exactly `lookahead`: the packet covering input
 sample t is emitted once input has advanced past t + lookahead + W.
 
 offline_oracle() recomputes the same quantities without any streaming
-state (batch TCN pass, the mixture's mel frames computed once, a UNet
-without a cache per window placement over the mask columns the
-combiner reads, and a per-window masked iSTFT) and must agree with the
-stream to float rounding.  Both paths compute every mel column through one per-frame
-routine, _Combiner.mel_frames, so their UNet inputs are bit-identical.
+state and must agree with the stream to float rounding: one batch TCN
+pass; the mixture's mel frames, computed once; the UNet down path over
+those frames, computed once per pooling phase (PhaseMaps) rather than
+carried from push to push; per window placement, a UNet forward over
+the mask columns the combiner reads, which copies the down-path
+columns it shares with the whole-mixture maps; and a masked iSTFT.
+Both paths compute every mel column through one per-frame routine,
+_Combiner.mel_frames, so their UNet inputs are bit-identical, and both
+set the same input samples to 0 at ingress (_sanitise).
 """
 
 from __future__ import annotations
@@ -62,7 +66,14 @@ from .dsp import (
     mel_filterbank,
 )
 from .tcn import TcnConfig, TcnEngine, tcn_flop_count
-from .unet import UNetCache, UNetConfig, UNetEngine, threshold_mask, unet_flop_count
+from .unet import (
+    PhaseMaps,
+    UNetCache,
+    UNetConfig,
+    UNetEngine,
+    threshold_mask,
+    unet_flop_count,
+)
 
 PACKET_MS = 22.4  # 350 samples at 15.625 kHz
 # enhance_signal pushes at most this many packets per call: it bounds
@@ -169,6 +180,16 @@ def _typed(cls, d: dict, where: str) -> dict:
         if not ok:
             raise ValueError(f"{where}: {key!r} must be {t}, got {v!r}")
     return out
+
+
+def _sanitise(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """x with every sample that is not finite or exceeds the float32
+    range in magnitude (float32 being the widest sample format wavio
+    reads) set to 0, and the number of such samples."""
+    ok = np.abs(x) <= _SAMPLE_MAX  # False for NaN too
+    if ok.all():
+        return x, 0
+    return np.where(ok, x, 0.0), int(ok.size - np.count_nonzero(ok))
 
 
 def _pad_slice(x: np.ndarray, start: int, end: int) -> np.ndarray:
@@ -296,12 +317,11 @@ class CbNetStream:
 
         Any other shape raises ValueError and changes nothing.
         Samples that are not finite or exceed the float32 range in
-        magnitude (float32 being the widest sample format wavio reads)
-        are replaced by 0 before any state changes, and counted in
-        samples_sanitised.  The TCN then runs once over the whole block;
-        the mixture window, mel, UNet and combiner still step packet by
-        packet, so the output is bit-identical to k single-packet
-        pushes.
+        magnitude are replaced by 0 (see _sanitise) before any state
+        changes, and counted in samples_sanitised.  The TCN then runs
+        once over the whole block; the mixture window, mel, UNet and
+        combiner still step packet by packet, so the output is
+        bit-identical to k single-packet pushes.
 
         The emitted samples cover the input `lookahead` samples back; the
         first lookahead/W packets of a cold stream are the pre-stream
@@ -314,10 +334,8 @@ class CbNetStream:
         cfg = self.cfg
         cfg.tcn.packets_in(x)
         w = cfg.tcn.packet_len
-        ok = np.abs(x) <= _SAMPLE_MAX  # False for NaN too
-        if not ok.all():
-            self.samples_sanitised += int(ok.size - np.count_nonzero(ok))
-            x = np.where(ok, x, 0.0)
+        x, bad = _sanitise(x)
+        self.samples_sanitised += bad
         tcn_out = self._tcn_push(x)
         out = np.zeros(x.shape[1])
         for s in range(0, x.shape[1], w):
@@ -339,11 +357,15 @@ def offline_oracle(x: np.ndarray, bundle,
 
     x is (2, S) with S a multiple of the packet length.  Returns the
     S - lookahead samples a cold-started stream emits for x (i.e. the
-    enhancement of x[..., :S-lookahead]); the TCN runs as one batch
-    pass.  Every STFT frame that lies wholly inside some window is
-    computed once, over the whole mixture; per window placement only
-    the frames zero-padded at the window end are added, and the UNet
-    computes just the mask columns cfg.mask_cols.
+    enhancement of x[..., :S-lookahead]), with the same samples set to
+    0 at ingress; the TCN runs as one batch pass.  Every STFT frame
+    that lies wholly inside some window is computed once, over the
+    whole mixture, and so is the UNet down path over those frames, once
+    per pooling phase (PhaseMaps).  Per window placement only the
+    frames zero-padded at the window end are added, the down path
+    recomputes the few columns that read them or the window's left
+    zero pad and copies the rest, and the up path computes just the
+    mask columns cfg.mask_cols.
     """
     cfg = config or PipelineConfig()
     x = np.asarray(x, dtype=np.float64)
@@ -352,6 +374,7 @@ def offline_oracle(x: np.ndarray, bundle,
         raise ValueError(f"expected ({cfg.tcn.in_channels}, S) input")
     if x.shape[1] % w != 0:
         raise ValueError("input length must be a multiple of the packet length")
+    x, _ = _sanitise(x)
     n_pkts = x.shape[1] // w
     la_pkts = cfg.lookahead_cols
     if n_pkts <= la_pkts:
@@ -372,6 +395,7 @@ def offline_oracle(x: np.ndarray, bundle,
     frames = comb.mel_frames(
         mixsum, first, np.empty((cfg.unet.input_mel, n_out - 1 + whole))
     )
+    maps = PhaseMaps(unet_engine, frames)
     mel = np.empty((cfg.unet.input_mel, t_frames))
     out = np.zeros(n_out * w)
     for p in range(n_out):
@@ -381,7 +405,7 @@ def offline_oracle(x: np.ndarray, bundle,
         mel[:, :whole] = frames[:, p : p + whole]
         mix_win = _pad_slice(mixsum, mix_end - nwin, mix_end)
         probs = unet_engine.forward(
-            comb.unet_input(mix_win, mel, whole), cfg.mask_cols
+            comb.unet_input(mix_win, mel, whole), cfg.mask_cols, cache=maps.at(p)
         )
         mask = threshold_mask(probs, cfg.unet.threshold)
         out[p * w : (p + 1) * w] = comb.combine(tcn_win, mask)

@@ -18,14 +18,21 @@ the same columns of a full forward.  The stream and the batch oracle
 read just the few mask columns that cover the packet they emit.
 
 Without a cache the down path runs in full and nothing is kept between
-forwards.  A stream, whose window moves one column per packet, passes
-a UNetCache instead: a window shifted by one column is shifted by 2^-L
-columns at level L, so level L reuses its map from 2^L forwards back,
-shifted by one column, and recomputes only the columns whose inputs
-changed (see UNetCache).  Reuse is decided by comparing windows, so the
-output is bit-identical to a cache-free forward for any call sequence.
-Like the column cone, this relies on a float32 GEMM giving each output
-row the same bits whatever the number of rows, which the tests check.
+forwards; that forward is the reference the two reusing ones are tested
+against.  A window shifted by one column is shifted by 2^-L columns at
+level L, so windows 2^L columns apart share level L's pooling phase.
+A stream, whose window moves one column per packet, passes a UNetCache:
+level L reuses its map from 2^L forwards back, shifted by one column,
+and recomputes only the columns whose inputs changed.  The batch oracle,
+which holds the whole mixture's frames, builds a PhaseMaps instead:
+each level's map over the whole frame sequence, once per pooling phase,
+from which each window copies its columns and recomputes only those
+that read its zero-padded end frames or its left zero pad.  Either way
+reuse is decided by comparing the window with what the maps were built
+from, so the output is bit-identical to a cache-free forward for any
+call sequence.  Like the column cone, this relies on a float32 GEMM
+giving each output row the same bits whatever the number of rows,
+which the tests check.
 
 Internally the engine computes in single precision with activations
 laid out channels-last, and each stage owns its pad / accumulator
@@ -37,6 +44,7 @@ given engine instance must not run concurrent forwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -191,6 +199,63 @@ class UNetCache:
         return [self.mel, self.links, *self.first, *live]
 
 
+class PhaseMaps:
+    """Every down level's map over one whole frame sequence, once per
+    pooling phase, for the windows that slide over it.
+
+    Window p of the sequence starts at its frame p.  A window shifted
+    by 2^L frames is shifted by one column at level L, so the windows
+    with p mod 2^L = φ share one level-L map, phase φ, and window p
+    starts at its column p >> L.  Level L, phase φ pools the level L-1
+    map of phase φ mod 2^(L-1) from its column φ >> (L-1).  A forward
+    given at(p) copies each column whose reach lies inside the frames
+    the window shares with the sequence, found by comparing them, and
+    clear of the window's left zero pad; it computes the rest.
+
+    The maps hold (input_mel * base_channels) values per frame and
+    level; out holds the window-sized maps a forward fills.
+    """
+
+    def __init__(self, engine: UNetEngine, frames: np.ndarray):
+        cfg = engine.cfg
+        frames = np.array(frames, dtype=np.float32)  # a copy the caller cannot change
+        if frames.ndim != 2 or frames.shape[0] != cfg.input_mel:
+            raise ValueError(f"expected ({cfg.input_mel}, n) frames")
+        self.engine = engine
+        self.frames = frames
+        self.maps: list[list[np.ndarray]] = []
+        x = frames[:, :, None]
+        for i, ds in enumerate(engine.down):
+            level = []
+            for phase in range(1 << i):
+                if i:
+                    prev = self.maps[i - 1][phase % (1 << (i - 1))]
+                    s = phase >> (i - 1)
+                    n = max((prev.shape[1] - s) // 2, 0)
+                    x = _pool2(prev[:, s : s + 2 * n])
+                wide = ds.widened(x.shape[1])
+                engine._tally_down(wide, wide.w)
+                level.append(wide.run(x))
+            self.maps.append(level)
+        self.out = [
+            np.empty((cfg.input_mel >> i, cfg.input_frames >> i, c), dtype=np.float32)
+            for i, c in enumerate(cfg.down_out)
+        ]
+
+    def at(self, p: int) -> PhaseWindow:
+        """What a forward over window p takes as its cache."""
+        if p < 0:
+            raise ValueError("window index must be >= 0")
+        return PhaseWindow(self, p)
+
+
+class PhaseWindow(NamedTuple):
+    """Window p of a PhaseMaps sequence, as UNetEngine.forward's cache."""
+
+    maps: PhaseMaps
+    p: int
+
+
 def _pool2(x: np.ndarray) -> np.ndarray:
     """2x2 max pool on (H, W, C), pairwise along each spatial axis."""
     a = np.maximum(x[0::2], x[1::2])
@@ -217,6 +282,11 @@ class _DsConv:
         self.pad = np.zeros((h + 2, w + 2, self.cin), dtype=np.float32)
         self.acc = np.empty(h * w * self.cin, dtype=np.float32)
         self.tmp = np.empty_like(self.acc)
+
+    def widened(self, w: int) -> _DsConv:
+        """The same conv at width w."""
+        dw_w = np.transpose(self.taps[:, :, : self.cin], (2, 0, 1))
+        return _DsConv(dw_w, self.pw_wt.T, self.pw_b, self.h, w)
 
     def run(self, x: np.ndarray, a: int = 0, b: int | None = None) -> np.ndarray:
         """Output columns [a, b) (default all), shape (h, b - a, cout).
@@ -344,11 +414,58 @@ class UNetEngine:
             x = _pool2(x)
         return skips, x
 
+    def _plan(self, up: list[tuple[int, int]], same: list[int],
+              valid: list[int]) -> list[tuple[int, int]]:
+        """Per down level, from level 0, the columns (need, start) of a
+        down path that copies what it can from maps computed before.
+
+        need is the first column of the level's map that the up path or
+        the level below reads; columns [need, start) are copied and
+        [start, w) computed.  A level-L column reads the 2^(L+1) - 1
+        input columns either side of its own 2^L (its reach); it is
+        copied when that span lies inside the window's first same[L]
+        columns, which the copied map saw too.  A level copies nothing
+        when its first needed column reads the left zero pad or
+        precedes valid[L], the first column its source holds.
+        """
+        cfg = self.cfg
+        need = 2 * max(up[0][0] - 1, 0)
+        plan = []
+        for i in reversed(range(cfg.levels)):
+            need = min(need, 2 * up[cfg.levels - 1 - i][0])
+            reach = (2 << i) - 1
+            edge = -(-reach >> i)  # columns whose reach crosses the left pad
+            start = need
+            if max(edge, valid[i]) <= need:
+                start = max(need, (int(same[i]) - reach) >> i)
+            plan.append((need, start))
+            need = 2 * max(start - 1, 0)
+        return plan[::-1]
+
+    def _down_planned(self, x: np.ndarray, plan: list[tuple[int, int]],
+                      up: list[tuple[int, int]], copy) -> tuple[list[np.ndarray], np.ndarray]:
+        """The down path by plan: copy(i, need, start) returns level i's
+        map with columns [need, start) filled, and the rest are computed.
+        Every column the up path reads equals that of _down."""
+        skips = []
+        for i, (ds, (need, start)) in enumerate(zip(self.down, plan)):
+            if i:
+                k = max(start - 1, 0)
+                x = self.pooled[i - 1]
+                x[:, k:] = _pool2(skips[-1][:, 2 * k :])
+            m = copy(i, need, start)
+            m[:, start:] = ds.run(x, start)
+            self._tally_down(ds, ds.w - start)
+            skips.append(m)
+        k = max(up[0][0] - 1, 0)
+        bottom = self.pooled[-1]
+        bottom[:, k:] = _pool2(skips[-1][:, 2 * k :])
+        return skips, bottom
+
     def _down_cached(self, x: np.ndarray, cache: UNetCache,
                      up: list[tuple[int, int]]) -> tuple[list[np.ndarray], np.ndarray]:
-        """The down path through cache: the same values as _down in every
-        column the up path reads, computing only the columns that
-        cannot be copied from the maps 2^L forwards back."""
+        """The down path through cache: each level copies what it can
+        from its map 2^L forwards back, shifted by one column."""
         cfg = self.cfg
         w = cfg.input_frames
         differ = np.flatnonzero(np.any(x[:, :-1, 0] != cache.mel[:, 1:], axis=0))
@@ -359,43 +476,43 @@ class UNetEngine:
         # same[j]: leading columns that equal those of the window j + 1
         # forwards back, shifted left by j + 1
         same = np.minimum.accumulate(links - np.arange(links.size))
-        # Plan from the deepest level up.  need: the first column of this
-        # level's map that the up path or the level below reads.  Columns
-        # [need, start) are copied from the old map, [start, w) computed.
-        need = 2 * max(up[0][0] - 1, 0)
-        plan = []
-        for i in reversed(range(cfg.levels)):
-            need = min(need, 2 * up[cfg.levels - 1 - i][0])
-            reach = (2 << i) - 1
-            changed = max((int(same[(1 << i) - 1]) - reach) >> i, 0)
-            edge = -(-reach >> i)  # columns whose reach crosses the left pad
-            reuse = edge <= need and cache.first[i][0] <= need + 1
-            start = max(changed, need) if reuse else need
-            plan.append((need, start))
-            need = 2 * max(start - 1, 0)
-        skips = []
-        for i, (ds, (need, start)) in enumerate(zip(self.down, reversed(plan))):
-            if i:
-                k = max(start - 1, 0)
-                x = self.pooled[i - 1]
-                x[:, k:] = _pool2(skips[-1][:, 2 * k :])
+        plan = self._plan(up, [same[(1 << i) - 1] for i in range(cfg.levels)],
+                          [f[0] - 1 for f in cache.first])
+
+        def copy(i: int, need: int, start: int) -> np.ndarray:
             maps, first = cache.maps[i], cache.first[i]
             m = maps.pop(0)
             m[:, need:start] = m[:, need + 1 : start + 1]
-            m[:, start:] = ds.run(x, start)
-            self._tally_down(ds, ds.w - start)
             maps.append(m)
             first[:-1] = first[1:]
             first[-1] = need
-            skips.append(m)
-        k = max(up[0][0] - 1, 0)
-        bottom = self.pooled[-1]
-        bottom[:, k:] = _pool2(skips[-1][:, 2 * k :])
-        return skips, bottom
+            return m
+
+        return self._down_planned(x, plan, up, copy)
+
+    def _down_phased(self, x: np.ndarray, at: PhaseWindow,
+                     up: list[tuple[int, int]]) -> tuple[list[np.ndarray], np.ndarray]:
+        """The down path of window at.p of a PhaseMaps sequence: each
+        level copies what it can from the map of phase p mod 2^L, from
+        its column p >> L on."""
+        maps, p = at
+        if maps.engine is not self:
+            raise ValueError("phase maps were built by another engine")
+        seen = maps.frames[:, p : p + self.cfg.input_frames]
+        differ = np.flatnonzero(np.any(x[:, : seen.shape[1], 0] != seen, axis=0))
+        same = differ[0] if differ.size else seen.shape[1]
+        plan = self._plan(up, [same] * self.cfg.levels, [0] * self.cfg.levels)
+
+        def copy(i: int, need: int, start: int) -> np.ndarray:
+            m, off = maps.out[i], p >> i
+            m[:, need:start] = maps.maps[i][p % (1 << i)][:, off + need : off + start]
+            return m
+
+        return self._down_planned(x, plan, up, copy)
 
     def forward(self, mel_input: np.ndarray,
                 cols: tuple[int, int] | None = None,
-                cache: UNetCache | None = None) -> np.ndarray:
+                cache: UNetCache | PhaseWindow | None = None) -> np.ndarray:
         """Mel window (input_mel, input_frames) -> probability map, each
         value sigmoid-activated in (0, 1).
 
@@ -405,9 +522,10 @@ class UNetEngine:
         head run on the columns of cfg.up_cols(lo, hi), which hold every
         value those outputs read.
 
-        With a cache, the down path reuses the maps of earlier forwards
-        through that cache and updates it; the result is still bit for
-        bit that of a forward without one.
+        With a UNetCache, the down path reuses the maps of earlier
+        forwards through that cache and updates it; with PhaseMaps.at(p)
+        it copies from the maps of a whole frame sequence.  Either way
+        the result is bit for bit that of a forward without one.
         """
         cfg = self.cfg
         mel_input = np.asarray(mel_input, dtype=np.float64)
@@ -424,6 +542,8 @@ class UNetEngine:
         up = cfg.up_cols(lo, hi)
         if cache is None:
             skips, x = self._down(x)
+        elif isinstance(cache, PhaseWindow):
+            skips, x = self._down_phased(x, cache, up)
         else:
             skips, x = self._down_cached(x, cache, up)
         for i, ((ds, tc), (a, b)) in enumerate(zip(self.up, up)):

@@ -60,20 +60,28 @@ def test_criterion_01_streaming_equivalence():
     n_samples = int(3 * cfg.sample_rate)  # 46875
     n_aligned = n_samples - n_samples % w
     worst_pipe = worst_tcn = 0.0
+    spent = {"stream": 0.0, "oracle": 0.0, "tcn loop": 0.0}
     for seed in range(10):
         bundle = random_init(cfg, seed=seed)
         engine = TcnEngine(bundle, cfg.tcn)
         for j in range(5):
             rng = np.random.default_rng(1000 * seed + j)
             x = 0.2 * rng.standard_normal((2, n_samples))
+            t1 = time.perf_counter()
             streamed = enhance_signal(x, bundle, cfg)
+            t2 = time.perf_counter()
             oracle = enhance_signal(x, bundle, cfg, oracle=True)
+            t3 = time.perf_counter()
+            spent["stream"] += t2 - t1
+            spent["oracle"] += t3 - t2
             worst_pipe = max(worst_pipe, float(np.max(np.abs(streamed - oracle))))
             assert worst_pipe <= 1e-4
 
             state = engine.init_state()
+            t1 = time.perf_counter()
             for i in range(0, n_aligned, w):
                 last = state.push_packet(x[:, i : i + w])
+            spent["tcn loop"] += time.perf_counter() - t1
             want = engine.full_forward(
                 x[:, n_aligned - cfg.tcn.min_input_samples : n_aligned]
             )
@@ -81,7 +89,8 @@ def test_criterion_01_streaming_equivalence():
             assert worst_tcn <= 1e-5
     dt = time.perf_counter() - t0
     assert dt < 120.0, f"streaming equivalence took {dt:.1f}s"
-    _report(1, f"pipe {worst_pipe:.2e}, tcn {worst_tcn:.2e}, {dt:.1f}s")
+    parts = ", ".join(f"{k} {v:.1f}s" for k, v in spent.items())
+    _report(1, f"pipe {worst_pipe:.2e}, tcn {worst_tcn:.2e}, {dt:.1f}s ({parts})")
 
 
 def test_criterion_02_compute_reuse():

@@ -9,6 +9,7 @@ from clearstream.dsp import ComplexSpectrogram
 from clearstream.metrics import oracle_mask
 from clearstream.pipeline import PipelineConfig
 from clearstream.unet import (
+    PhaseMaps,
     UNetCache,
     UNetConfig,
     UNetEngine,
@@ -343,3 +344,73 @@ def test_cache_serves_every_column_of_a_shifting_window(mixed_engines):
         cols = (w - 5, w - 2) if n < 10 else (n - 10, n - 9)
         assert np.array_equal(engine.forward(mel, cols, cache=cache),
                               engine.forward(mel, cols)), cols
+
+
+@pytest.mark.parametrize("config", sorted(_CACHE_CASES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_phase_maps_are_bit_identical_to_cache_free(config, mixed_engines, data):
+    """Over a random frame sequence, each window's forward through the
+    sequence's PhaseMaps equals a forward without them.  A window takes
+    its first `whole` columns from the sequence and redraws the rest, as
+    the oracle's zero-padded end frames are; sequences with fewer
+    windows than the deepest level's phases are drawn too.  Some
+    windows are given the wrong index, or a sequence frame altered, so
+    the maps' columns must be checked before they are copied."""
+    engines = mixed_engines[config]
+    engine = engines[data.draw(st.integers(0, len(engines) - 1))]
+    cfg = engine.cfg
+    w = cfg.input_frames
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    whole = data.draw(st.integers(1, w))
+    n_win = data.draw(st.integers(1, (2 << cfg.levels) + 2))
+    frames = _window(cfg, rng, n_win - 1 + whole)
+    maps = PhaseMaps(engine, frames)
+    lo = data.draw(st.integers(0, w - 1))
+    cols = data.draw(st.sampled_from([None, (w - 5, w - 2), (lo, w)]))
+    for p in range(n_win):
+        mel = _window(cfg, rng)
+        mel[:, :whole] = frames[:, p : p + whole]
+        kind = data.draw(st.sampled_from(["window"] * 4 + ["index", "altered"]))
+        at = p
+        if kind == "index":
+            at = data.draw(st.integers(0, n_win + 2))
+        elif kind == "altered":
+            mel[:, data.draw(st.integers(0, whole - 1))] += 1.0
+        got = engine.forward(mel, cols, cache=maps.at(at))
+        assert np.array_equal(got, engine.forward(mel, cols)), (kind, p, at)
+
+
+def test_phase_maps_recompute_three_columns_per_level(mixed_engines):
+    """At the default config a window of the oracle, whose last 2
+    frames are zero-padded ones, computes 3 columns of each down level
+    over the stream's mask columns; the maps hold every other column."""
+    engine = mixed_engines["default"][0]
+    cfg = engine.cfg
+    pipe = PipelineConfig()
+    whole = cfg.input_frames - pipe.cover_frames + 1
+    rng = np.random.default_rng(7)
+    frames = _window(cfg, rng, 20 + whole)
+    maps = PhaseMaps(engine, frames)
+    down = [(cfg.down_in[i] * 9 + cfg.down_in[i] * cfg.down_out[i]) * (cfg.input_mel >> i)
+            for i in range(cfg.levels)]
+    want = unet_flop_count(cfg, pipe.mask_cols) - 2 * sum(
+        d * ((cfg.input_frames >> i) - 3) for i, d in enumerate(down))
+    for p in range(21):
+        mel = _window(cfg, rng)
+        mel[:, :whole] = frames[:, p : p + whole]
+        engine.tally.reset()
+        engine.forward(mel, pipe.mask_cols, cache=maps.at(p))
+        assert 2 * engine.tally.total() == want
+
+
+def test_phase_maps_input_validation(mixed_engines):
+    small, other = mixed_engines["small"]
+    cfg = small.cfg
+    with pytest.raises(ValueError, match="frames"):
+        PhaseMaps(small, np.zeros((cfg.input_mel + 1, 20)))
+    maps = PhaseMaps(small, np.zeros((cfg.input_mel, 20)))
+    with pytest.raises(ValueError, match="index"):
+        maps.at(-1)
+    with pytest.raises(ValueError, match="another engine"):
+        other.forward(np.zeros((cfg.input_mel, cfg.input_frames)), cache=maps.at(0))
