@@ -40,12 +40,16 @@ offline_oracle() recomputes the same quantities without any streaming
 state and must agree with the stream to float rounding: one batch TCN
 pass; the mixture's mel frames, computed once; the UNet down path over
 those frames, computed once per pooling phase (PhaseMaps) rather than
-carried from push to push; per window placement, a UNet forward over
-the mask columns the combiner reads, which copies the down-path
-columns it shares with the whole-mixture maps; and a masked iSTFT.
-Both paths compute every mel column through one per-frame routine,
-_Combiner.mel_frames, so their UNet inputs are bit-identical, and both
-set the same input samples to 0 at ingress (_sanitise).
+carried from push to push; then, per block of _ORACLE_BLOCK window
+placements stacked on a leading axis, one UNet forward over the mask
+columns the combiner reads, which copies the down-path columns the
+windows share with the whole-mixture maps, one threshold, and one
+masked iSTFT.  The UNet and the combiner take the stack in the same
+routines the stream calls with one window, and each window of a block
+comes out bit-identical to a call of its own.  Both paths compute every
+mel column through one per-frame routine, _Combiner.mel_frames, so
+their UNet inputs are bit-identical, and both set the same input
+samples to 0 at ingress (_sanitise).
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import (
     DEFAULT_HOP,
@@ -79,6 +84,10 @@ PACKET_MS = 22.4  # 350 samples at 15.625 kHz
 # enhance_signal pushes at most this many packets per call: it bounds
 # the TCN activations of long inputs at about 1.8 MB per layer
 _BLOCK_PACKETS = 64
+# offline_oracle runs the UNet and the combiner once per this many
+# windows; a block's UNet arrays peak at about 7.5 MB at the default
+# config, and blocks of 8 to 32 windows took the same time per window
+_ORACLE_BLOCK = 16
 # larger input samples are set to 0, like NaN and inf
 _SAMPLE_MAX = float(np.finfo(np.float32).max)
 
@@ -193,16 +202,24 @@ def _sanitise(x: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _pad_slice(x: np.ndarray, start: int, end: int) -> np.ndarray:
-    """x[start:end] with zeros where the range leaves the array."""
-    out = np.zeros(end - start)
-    lo, hi = max(start, 0), min(end, len(x))
+    """x[..., start:end] with zeros where the range leaves the last axis."""
+    out = np.zeros(x.shape[:-1] + (end - start,))
+    lo, hi = max(start, 0), min(end, x.shape[-1])
     if hi > lo:
-        out[lo - start : hi - start] = x[lo:hi]
+        out[..., lo - start : hi - start] = x[..., lo:hi]
     return out
 
 
+def _windows(x: np.ndarray, n: int, step: int) -> np.ndarray:
+    """Row p views x[(p + 1) * step - n : (p + 1) * step], zero before
+    the start of x, for every p whose range ends inside x."""
+    padded = np.concatenate([np.zeros(n - step), x])
+    return sliding_window_view(padded, n)[::step]
+
+
 class _Combiner:
-    """Masked re-synthesis of one packet from a TCN-output window."""
+    """Masked re-synthesis of one packet from a TCN-output window, or of
+    one packet each from a stack of them."""
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
@@ -240,15 +257,19 @@ class _Combiner:
 
     def unet_input(self, mix_win: np.ndarray, mel: np.ndarray | None = None,
                    start: int = 0) -> np.ndarray:
-        """The (n_mel, T) log1p mel spectrogram of a mixture window.
+        """The (n_mel, T) log1p mel spectrogram of a mixture window, or
+        the (B, n_mel, T) spectrograms of a (B, n) stack of them.
 
-        Given mel whose columns [0, start) already hold this window's
-        frames, only the columns from start on are computed, in place.
+        Given mel whose columns [0, start) already hold each window's
+        frames, only the columns from start on are computed, in place,
+        one window and one frame at a time (see mel_frames).
         """
         if mel is None:
-            mel = np.empty((self.cfg.unet.input_mel, self.cfg.unet.input_frames))
+            cfg = self.cfg.unet
+            mel = np.empty(mix_win.shape[:-1] + (cfg.input_mel, cfg.input_frames))
             start = 0
-        self.mel_frames(mix_win, start, mel[:, start:])
+        for i in np.ndindex(mix_win.shape[:-1]):
+            self.mel_frames(mix_win[i], start, mel[i][:, start:])
         return mel
 
     def combine(self, tcn_win: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -256,21 +277,25 @@ class _Combiner:
 
         mask holds the (n_mel, cover_frames) mel mask columns
         cfg.mask_cols; column j masks TCN-window frame T - cover + j.
+        A (B, n) stack of windows with a (B, n_mel, cover_frames) stack
+        of masks emits (B, hop) samples, each row bit for bit that of
+        its window on its own: the ops are elementwise, and each FFT
+        call transforms the B rows one by one.
         """
         cfg = self.cfg
         hop, wl = cfg.hop, cfg.win_len
         t_frames = cfg.unet.input_frames
         cover = cfg.cover_frames
-        out = np.zeros(hop)
+        out = np.zeros(tcn_win.shape[:-1] + (hop,))
         for back in range(cover):
             f = t_frames - 1 - back  # frame index within the TCN window
             seg = _pad_slice(tcn_win, f * hop, f * hop + wl)
             spec = np.fft.rfft(seg * self.win)
-            col = mask[:, cover - 1 - back]
-            spec *= col[self.assign]
+            col = mask[..., cover - 1 - back]
+            spec *= col[..., self.assign]
             syn = np.fft.irfft(spec, n=wl) * self.win
-            part = syn[back * hop : back * hop + hop]
-            out[: len(part)] += part
+            part = syn[..., back * hop : back * hop + hop]
+            out[..., : part.shape[-1]] += part
         return out / self.den
 
 
@@ -365,7 +390,8 @@ def offline_oracle(x: np.ndarray, bundle,
     frames zero-padded at the window end are added, the down path
     recomputes the few columns that read them or the window's left
     zero pad and copies the rest, and the up path computes just the
-    mask columns cfg.mask_cols.
+    mask columns cfg.mask_cols.  The UNet, the threshold and the
+    combiner each run once per block of _ORACLE_BLOCK windows.
     """
     cfg = config or PipelineConfig()
     x = np.asarray(x, dtype=np.float64)
@@ -379,6 +405,11 @@ def offline_oracle(x: np.ndarray, bundle,
     la_pkts = cfg.lookahead_cols
     if n_pkts <= la_pkts:
         return np.zeros(0)
+    n_out = n_pkts - la_pkts
+    # allocated before the TCN pass: a caller that keeps many outputs
+    # (a benchmark loop) otherwise finds them placed where the next
+    # pass's arrays go, and the heap grows in steps of megabytes
+    out = np.empty((n_out, w))
     tcn_stream = TcnEngine(bundle, cfg.tcn).forward_stream(x)  # [0, S - lookahead)
     # built after the TCN pass, whose weights and activations set the
     # peak memory and are freed by now
@@ -386,7 +417,6 @@ def offline_oracle(x: np.ndarray, bundle,
     comb = _Combiner(cfg)
     mixsum = x.sum(axis=0)
     nwin = cfg.window_samples
-    n_out = n_pkts - la_pkts
     t_frames = cfg.unet.input_frames
     # Window p's frame t is mixture frame p + first + t; frames
     # [0, whole) lie inside the window, the rest run past its end.
@@ -396,20 +426,20 @@ def offline_oracle(x: np.ndarray, bundle,
         mixsum, first, np.empty((cfg.unet.input_mel, n_out - 1 + whole))
     )
     maps = PhaseMaps(unet_engine, frames)
-    mel = np.empty((cfg.unet.input_mel, t_frames))
-    out = np.zeros(n_out * w)
-    for p in range(n_out):
-        tcn_end = (p + 1) * w
-        mix_end = (p + 1 + la_pkts) * w
-        tcn_win = _pad_slice(tcn_stream, tcn_end - nwin, tcn_end)
-        mel[:, :whole] = frames[:, p : p + whole]
-        mix_win = _pad_slice(mixsum, mix_end - nwin, mix_end)
+    inside = sliding_window_view(frames, whole, axis=1)  # [:, p] is window p's
+    # window p ends at TCN sample (p + 1) w and mixture sample (p + 1 + la_pkts) w
+    tcn_wins = _windows(tcn_stream, nwin, w)
+    mix_wins = _windows(mixsum, nwin, w)[la_pkts:]
+    for p in range(0, n_out, _ORACLE_BLOCK):
+        q = min(p + _ORACLE_BLOCK, n_out)
+        mel = np.empty((q - p, cfg.unet.input_mel, t_frames))
+        mel[:, :, :whole] = inside[:, p:q].transpose(1, 0, 2)
         probs = unet_engine.forward(
-            comb.unet_input(mix_win, mel, whole), cfg.mask_cols, cache=maps.at(p)
+            comb.unet_input(mix_wins[p:q], mel, whole), cfg.mask_cols, cache=maps.at(p)
         )
         mask = threshold_mask(probs, cfg.unet.threshold)
-        out[p * w : (p + 1) * w] = comb.combine(tcn_win, mask)
-    return out
+        out[p:q] = comb.combine(tcn_wins[p:q], mask)
+    return out.reshape(-1)
 
 
 def enhance_signal(x: np.ndarray, bundle,
@@ -424,6 +454,8 @@ def enhance_signal(x: np.ndarray, bundle,
     """
     cfg = config or PipelineConfig()
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != cfg.tcn.in_channels:
+        raise ValueError(f"expected ({cfg.tcn.in_channels}, n) samples")
     w = cfg.tcn.packet_len
     n = x.shape[1]
     pad_pkts = -(-n // w) + cfg.lookahead_cols

@@ -30,15 +30,21 @@ from which each window copies its columns and recomputes only those
 that read its zero-padded end frames or its left zero pad.  Either way
 reuse is decided by comparing the window with what the maps were built
 from, so the output is bit-identical to a cache-free forward for any
-call sequence.  Like the column cone, this relies on a float32 GEMM
-giving each output row the same bits whatever the number of rows,
-which the tests check.
+call sequence.
+
+A forward also takes a stack of B windows, and each stage then runs
+once over all of them on a leading axis: the oracle forwards its
+windows in blocks, windows p .. p + B - 1 through PhaseMaps.at(p),
+and the stream forwards one.  Every stage is elementwise or a GEMM
+over rows, so each window's map is bit-identical to its own forward.
+Like the column cone, this relies on a float32 GEMM giving each output
+row the same bits whatever the number of rows, which the tests check.
 
 Internally the engine computes in single precision with activations
-laid out channels-last, and each stage owns its pad / accumulator
-scratch.  That keeps one forward inside a realtime packet budget on a
-single core; inputs and the returned probability map stay float64.  A
-given engine instance must not run concurrent forwards.
+laid out channels-last, and holds only the map columns something reads:
+each ds-conv pads just its input span, and the up path's maps hold just
+their cone.  That keeps one forward inside a realtime packet budget on
+a single core; inputs and the returned probability map stay float64.
 """
 
 from __future__ import annotations
@@ -213,7 +219,7 @@ class PhaseMaps:
     clear of the window's left zero pad; it computes the rest.
 
     The maps hold (input_mel * base_channels) values per frame and
-    level; out holds the window-sized maps a forward fills.
+    level.
     """
 
     def __init__(self, engine: UNetEngine, frames: np.ndarray):
@@ -224,7 +230,7 @@ class PhaseMaps:
         self.engine = engine
         self.frames = frames
         self.maps: list[list[np.ndarray]] = []
-        x = frames[:, :, None]
+        x = frames[None, :, :, None]
         for i, ds in enumerate(engine.down):
             level = []
             for phase in range(1 << i):
@@ -232,43 +238,42 @@ class PhaseMaps:
                     prev = self.maps[i - 1][phase % (1 << (i - 1))]
                     s = phase >> (i - 1)
                     n = max((prev.shape[1] - s) // 2, 0)
-                    x = _pool2(prev[:, s : s + 2 * n])
-                wide = ds.widened(x.shape[1])
+                    x = _pool2(prev[None, :, s : s + 2 * n])
+                wide = ds.widened(x.shape[2])
                 engine._tally_down(wide, wide.w)
-                level.append(wide.run(x))
+                level.append(wide.run(x)[0])
             self.maps.append(level)
-        self.out = [
-            np.empty((cfg.input_mel >> i, cfg.input_frames >> i, c), dtype=np.float32)
-            for i, c in enumerate(cfg.down_out)
-        ]
 
     def at(self, p: int) -> PhaseWindow:
-        """What a forward over window p takes as its cache."""
+        """What a forward over window p, or over a stack of windows
+        p, p + 1, ..., takes as its cache."""
         if p < 0:
             raise ValueError("window index must be >= 0")
         return PhaseWindow(self, p)
 
 
 class PhaseWindow(NamedTuple):
-    """Window p of a PhaseMaps sequence, as UNetEngine.forward's cache."""
+    """Window p of a PhaseMaps sequence, the first of a stack of them,
+    as UNetEngine.forward's cache."""
 
     maps: PhaseMaps
     p: int
 
 
 def _pool2(x: np.ndarray) -> np.ndarray:
-    """2x2 max pool on (H, W, C), pairwise along each spatial axis."""
-    a = np.maximum(x[0::2], x[1::2])
-    return np.maximum(a[:, 0::2], a[:, 1::2])
+    """2x2 max pool on (B, H, W, C), pairwise along each spatial axis."""
+    a = np.maximum(x[:, 0::2], x[:, 1::2])
+    return np.maximum(a[:, :, 0::2], a[:, :, 1::2])
 
 
 class _DsConv:
-    """Depthwise 3x3 + pointwise 1x1 + ReLU at one fixed resolution.
+    """Depthwise 3x3 + pointwise 1x1 + ReLU at one fixed resolution,
+    over a leading axis of B maps.
 
-    The pad buffer is viewed as rows of (w + 2) * C values, so each of
-    the nine shifted multiplies runs along whole contiguous rows; the
-    tap weights are tiled to that row length to match.  The zero border
-    of the pad buffer is written once at construction.
+    A run pads just the columns it reads, zero where they leave the
+    map, and views each padded row of (n + 2) * C values as contiguous,
+    so each of the nine shifted multiplies runs along whole rows; the
+    tap weights are tiled to the full width's row length to match.
     """
 
     def __init__(self, dw_w, pw_w, pw_b, h: int, w: int):
@@ -279,45 +284,46 @@ class _DsConv:
         )
         self.pw_wt = np.ascontiguousarray(pw_w.T, dtype=np.float32)
         self.pw_b = np.asarray(pw_b, dtype=np.float32)
-        self.pad = np.zeros((h + 2, w + 2, self.cin), dtype=np.float32)
-        self.acc = np.empty(h * w * self.cin, dtype=np.float32)
-        self.tmp = np.empty_like(self.acc)
 
     def widened(self, w: int) -> _DsConv:
         """The same conv at width w."""
         dw_w = np.transpose(self.taps[:, :, : self.cin], (2, 0, 1))
         return _DsConv(dw_w, self.pw_wt.T, self.pw_b, self.h, w)
 
-    def run(self, x: np.ndarray, a: int = 0, b: int | None = None) -> np.ndarray:
-        """Output columns [a, b) (default all), shape (h, b - a, cout).
+    def run(self, x: np.ndarray, a: int = 0, b: int | None = None,
+            x0: int = 0) -> np.ndarray:
+        """Output columns [a, b) (default all) of each map, shape
+        (B, h, b - a, cout).
 
-        x is (h, w, cin) and need only hold valid values in the columns
-        those outputs read, [a - 1, b + 1) clipped to the map; the zero
-        border stands in for the columns beyond its edges.
+        x is (B, h, m, cin) and holds map columns [x0, x0 + m).  It need
+        hold only the columns those outputs read, [a - 1, b + 1) clipped
+        to the map; zeros stand in for the columns beyond its edges.
+        Every map goes through the same elementwise ops, and the
+        pointwise GEMM gives each row the same bits whatever the number
+        of rows, so a map's output does not depend on B.
         """
         h, w, c = self.h, self.w, self.cin
         b = w if b is None else b
         n = b - a
         lo, hi = max(a - 1, 0), min(b + 1, w)
-        self.pad[1:-1, lo + 1 : hi + 1] = x[:, lo:hi]
-        pad = self.pad.reshape(h + 2, -1)
+        pad = np.zeros((x.shape[0], h + 2, n + 2, c), dtype=np.float32)
+        pad[:, 1:-1, lo - a + 1 : hi - a + 1] = x[:, :, lo - x0 : hi - x0]
+        pad = pad.reshape(x.shape[0], h + 2, -1)
         taps = self.taps[:, :, : n * c]
-        acc = self.acc[: h * n * c].reshape(h, n * c)
-        tmp = self.tmp[: acc.size].reshape(acc.shape)
-        np.multiply(pad[0:h, a * c : (a + n) * c], taps[0, 0], out=acc)
+        acc = pad[:, 0:h, 0 : n * c] * taps[0, 0]
+        tmp = np.empty_like(acc)
         for dy in range(3):
             for dx in range(3):
                 if dy == 0 and dx == 0:
                     continue
-                cols = slice((a + dx) * c, (a + dx + n) * c)
-                np.multiply(pad[dy : dy + h, cols], taps[dy, dx], out=tmp)
+                np.multiply(pad[:, dy : dy + h, dx * c : (dx + n) * c], taps[dy, dx], out=tmp)
                 acc += tmp
         acc = acc.reshape(-1, c)
         # with one input channel the GEMM is a broadcast product
         z = acc * self.pw_wt if c == 1 else acc @ self.pw_wt
         z += self.pw_b
         np.maximum(z, 0.0, out=z)
-        return z.reshape(h, n, self.cout)
+        return z.reshape(x.shape[0], h, n, self.cout)
 
 
 class _TConv:
@@ -334,13 +340,13 @@ class _TConv:
         self.b = np.asarray(tc_b, dtype=np.float32)
 
     def run(self, x: np.ndarray, out: np.ndarray) -> None:
-        """x (h, n, cmid) -> out (2h, 2n, cout), written in place."""
-        h, n, _ = x.shape
-        piece = (x.reshape(-1, self.cmid) @ self.wt).reshape(h, n, 2, 2, self.cout)
-        out[0::2, 0::2] = piece[:, :, 0, 0]
-        out[0::2, 1::2] = piece[:, :, 0, 1]
-        out[1::2, 0::2] = piece[:, :, 1, 0]
-        out[1::2, 1::2] = piece[:, :, 1, 1]
+        """x (B, h, n, cmid) -> out (B, 2h, 2n, cout), written in place."""
+        bsz, h, n, _ = x.shape
+        piece = (x.reshape(-1, self.cmid) @ self.wt).reshape(bsz, h, n, 2, 2, self.cout)
+        out[:, 0::2, 0::2] = piece[:, :, :, 0, 0]
+        out[:, 0::2, 1::2] = piece[:, :, :, 0, 1]
+        out[:, 1::2, 0::2] = piece[:, :, :, 1, 0]
+        out[:, 1::2, 1::2] = piece[:, :, :, 1, 1]
         out += self.b
         np.maximum(out, 0.0, out=out)
 
@@ -364,7 +370,6 @@ class UNetEngine:
             for i in range(cfg.levels)
         ]
         self.up = []
-        self.cat_bufs = []
         for i in range(cfg.levels):
             h = cfg.input_mel >> (cfg.levels - i)
             w = cfg.input_frames >> (cfg.levels - i)
@@ -380,23 +385,10 @@ class UNetEngine:
                     _TConv(t(f"unet.up{i}.tc.w"), t(f"unet.up{i}.tc.b")),
                 )
             )
-            self.cat_bufs.append(
-                np.empty(
-                    (2 * h, 2 * w, cfg.tc_out[i] + cfg.skip_ch[i]),
-                    dtype=np.float32,
-                )
-            )
         self.out_wt = np.ascontiguousarray(
             np.asarray(t("unet.out.w"), dtype=np.float32).T
         )
         self.out_b = np.asarray(t("unet.out.b"), dtype=np.float32)
-        # pooled input of down levels 1 .. levels-1, then the bottom map
-        # the up path starts from; a cached forward fills only the
-        # columns it reads
-        self.pooled = [
-            np.empty((cfg.input_mel >> i, cfg.input_frames >> i, c), dtype=np.float32)
-            for i, c in enumerate(cfg.down_out, 1)
-        ]
         self.tally = UNetTally()
 
     def _tally_down(self, ds: _DsConv, n: int) -> None:
@@ -408,7 +400,7 @@ class UNetEngine:
         """The full down path: every level's map and the bottom map."""
         skips = []
         for ds in self.down:
-            self._tally_down(ds, ds.w)
+            self._tally_down(ds, len(x) * ds.w)
             x = ds.run(x)
             skips.append(x)
             x = _pool2(x)
@@ -445,22 +437,23 @@ class UNetEngine:
     def _down_planned(self, x: np.ndarray, plan: list[tuple[int, int]],
                       up: list[tuple[int, int]], copy) -> tuple[list[np.ndarray], np.ndarray]:
         """The down path by plan: copy(i, need, start) returns level i's
-        map with columns [need, start) filled, and the rest are computed.
-        Every column the up path reads equals that of _down."""
+        map columns [need, w), of which [need, start) are filled, and the
+        rest are computed.  Every map, the bottom one included, holds
+        only the columns at its right end that something reads; each
+        of those equals that of _down."""
         skips = []
+        x0 = 0
         for i, (ds, (need, start)) in enumerate(zip(self.down, plan)):
             if i:
-                k = max(start - 1, 0)
-                x = self.pooled[i - 1]
-                x[:, k:] = _pool2(skips[-1][:, 2 * k :])
+                x0 = max(start - 1, 0)
+                # level i's columns [x0, w) pool the last 2 (w - x0) above
+                x = _pool2(skips[-1][:, :, -2 * (ds.w - x0) :])
             m = copy(i, need, start)
-            m[:, start:] = ds.run(x, start)
-            self._tally_down(ds, ds.w - start)
+            m[:, :, start - need :] = ds.run(x, start, x0=x0)
+            self._tally_down(ds, len(x) * (ds.w - start))
             skips.append(m)
         k = max(up[0][0] - 1, 0)
-        bottom = self.pooled[-1]
-        bottom[:, k:] = _pool2(skips[-1][:, 2 * k :])
-        return skips, bottom
+        return skips, _pool2(skips[-1][:, :, -2 * (self.up[0][0].w - k) :])
 
     def _down_cached(self, x: np.ndarray, cache: UNetCache,
                      up: list[tuple[int, int]]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -468,11 +461,13 @@ class UNetEngine:
         from its map 2^L forwards back, shifted by one column."""
         cfg = self.cfg
         w = cfg.input_frames
-        differ = np.flatnonzero(np.any(x[:, :-1, 0] != cache.mel[:, 1:], axis=0))
+        if len(x) != 1:
+            raise ValueError("a UNetCache takes one window per forward")
+        differ = np.flatnonzero(np.any(x[0, :, :-1, 0] != cache.mel[:, 1:], axis=0))
         links = cache.links
         links[1:] = links[:-1]
         links[0] = differ[0] if differ.size else w - 1
-        cache.mel[...] = x[:, :, 0]
+        cache.mel[...] = x[0, :, :, 0]
         # same[j]: leading columns that equal those of the window j + 1
         # forwards back, shifted left by j + 1
         same = np.minimum.accumulate(links - np.arange(links.size))
@@ -486,26 +481,34 @@ class UNetEngine:
             maps.append(m)
             first[:-1] = first[1:]
             first[-1] = need
-            return m
+            return m[None, :, need:]
 
         return self._down_planned(x, plan, up, copy)
 
     def _down_phased(self, x: np.ndarray, at: PhaseWindow,
                      up: list[tuple[int, int]]) -> tuple[list[np.ndarray], np.ndarray]:
-        """The down path of window at.p of a PhaseMaps sequence: each
-        level copies what it can from the map of phase p mod 2^L, from
-        its column p >> L on."""
+        """The down path of windows at.p, at.p + 1, ... of a PhaseMaps
+        sequence, one per map of x: window q copies what it can from
+        the map of phase q mod 2^L, from its column q >> L on.  The
+        block shares one plan, so each window copies the columns that
+        every window of the block may copy."""
         maps, p = at
         if maps.engine is not self:
             raise ValueError("phase maps were built by another engine")
-        seen = maps.frames[:, p : p + self.cfg.input_frames]
-        differ = np.flatnonzero(np.any(x[:, : seen.shape[1], 0] != seen, axis=0))
-        same = differ[0] if differ.size else seen.shape[1]
+        t = self.cfg.input_frames
+        same = t
+        for q, win in enumerate(x[:, :, :, 0], p):
+            seen = maps.frames[:, q : q + t]
+            differ = np.flatnonzero(np.any(win[:, : seen.shape[1]] != seen, axis=0))
+            same = min(same, differ[0] if differ.size else seen.shape[1])
         plan = self._plan(up, [same] * self.cfg.levels, [0] * self.cfg.levels)
 
         def copy(i: int, need: int, start: int) -> np.ndarray:
-            m, off = maps.out[i], p >> i
-            m[:, need:start] = maps.maps[i][p % (1 << i)][:, off + need : off + start]
+            ds = self.down[i]
+            m = np.empty((len(x), ds.h, ds.w - need, ds.cout), dtype=np.float32)
+            for q, mq in enumerate(m, p):
+                off = q >> i
+                mq[:, : start - need] = maps.maps[i][q % (1 << i)][:, off + need : off + start]
             return m
 
         return self._down_planned(x, plan, up, copy)
@@ -514,7 +517,10 @@ class UNetEngine:
                 cols: tuple[int, int] | None = None,
                 cache: UNetCache | PhaseWindow | None = None) -> np.ndarray:
         """Mel window (input_mel, input_frames) -> probability map, each
-        value sigmoid-activated in (0, 1).
+        value sigmoid-activated in (0, 1).  A stack of B windows,
+        (B, input_mel, input_frames), gives the B maps stacked, each bit
+        for bit that of the window on its own: every stage is
+        elementwise or a GEMM over rows, and runs once for the stack.
 
         cols = (lo, hi) asks for output columns [lo, hi) only, shape
         (input_mel, hi - lo); the default is every column.  The values
@@ -522,23 +528,26 @@ class UNetEngine:
         head run on the columns of cfg.up_cols(lo, hi), which hold every
         value those outputs read.
 
-        With a UNetCache, the down path reuses the maps of earlier
-        forwards through that cache and updates it; with PhaseMaps.at(p)
-        it copies from the maps of a whole frame sequence.  Either way
-        the result is bit for bit that of a forward without one.
+        With a UNetCache, the down path of one window reuses the maps of
+        earlier forwards through that cache and updates it; with
+        PhaseMaps.at(p), windows p, p + 1, ... of a whole frame sequence
+        copy from its maps.  Either way the result is bit for bit that
+        of a forward without one.
         """
         cfg = self.cfg
         mel_input = np.asarray(mel_input, dtype=np.float64)
-        if mel_input.shape != (cfg.input_mel, cfg.input_frames):
+        if (mel_input.ndim not in (2, 3)
+                or mel_input.shape[-2:] != (cfg.input_mel, cfg.input_frames)):
             raise ValueError(
-                f"expected ({cfg.input_mel}, {cfg.input_frames}) input"
+                f"expected ({cfg.input_mel}, {cfg.input_frames}) input or a stack of them"
             )
         lo, hi = (0, cfg.input_frames) if cols is None else cols
         if not 0 <= lo < hi <= cfg.input_frames:
             raise ValueError(f"cols must satisfy 0 <= lo < hi <= {cfg.input_frames}")
         if not np.all(np.isfinite(mel_input)):
             raise ValueError("mel input must be finite")
-        x = mel_input.astype(np.float32)[:, :, None]
+        x = mel_input.astype(np.float32).reshape(-1, cfg.input_mel, cfg.input_frames, 1)
+        bsz = len(x)
         up = cfg.up_cols(lo, hi)
         if cache is None:
             skips, x = self._down(x)
@@ -546,20 +555,26 @@ class UNetEngine:
             skips, x = self._down_phased(x, cache, up)
         else:
             skips, x = self._down_cached(x, cache, up)
+        # every down-path map holds the columns at its right end; the
+        # up path's maps hold just their cone, from column x0
+        x0 = self.up[0][0].w - x.shape[2]
         for i, ((ds, tc), (a, b)) in enumerate(zip(self.up, up)):
-            px = ds.h * (b - a)
+            px = bsz * ds.h * (b - a)
             self.tally.dw += ds.cin * 9 * px
             self.tally.pw += ds.cout * ds.cin * px
             self.tally.tc += tc.cmid * tc.cout * 4 * px
-            cat = self.cat_bufs[i]
-            tc.run(ds.run(x, a, b), cat[:, 2 * a : 2 * b, : tc.cout])
-            cat[:, 2 * a : 2 * b, tc.cout :] = skips[cfg.levels - 1 - i][:, 2 * a : 2 * b]
-            x = cat
-        x = x[:, lo:hi]
-        self.tally.pw += self.out_wt.size * x.shape[0] * x.shape[1]
+            skip = skips[cfg.levels - 1 - i]
+            s0 = 2 * ds.w - skip.shape[2]
+            cat = np.empty((bsz, 2 * ds.h, 2 * (b - a), tc.cout + skip.shape[3]),
+                           dtype=np.float32)
+            tc.run(ds.run(x, a, b, x0), cat[..., : tc.cout])
+            cat[..., tc.cout :] = skip[:, :, 2 * a - s0 : 2 * b - s0]
+            x, x0 = cat, 2 * a
+        x = x[:, :, lo - x0 : hi - x0]
+        self.tally.pw += self.out_wt.size * bsz * cfg.input_mel * (hi - lo)
         logits = x.reshape(-1, cfg.final_ch) @ self.out_wt
         logits += self.out_b
-        probs = expit(logits.reshape(cfg.input_mel, hi - lo))
+        probs = expit(logits.reshape(mel_input.shape[:-1] + (hi - lo,)))
         return probs.astype(np.float64)
 
 

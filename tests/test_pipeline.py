@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clearstream.pipeline import (
+    _ORACLE_BLOCK,
     CbNetStream,
     LatencyBudget,
     PipelineConfig,
     _Combiner,
     _UncachedRunner,
+    _pad_slice,
     bench_packet,
     enhance_signal,
     latency_total,
@@ -57,7 +59,8 @@ def test_stream_matches_oracle_default_config(rng, monkeypatch):
         probs.clear()
         streamed = enhance_signal(x, bundle, cfg)
         oracle = enhance_signal(x, bundle, cfg, oracle=True)
-        masks = threshold_mask(np.concatenate(probs, axis=1))
+        # the stream's maps come one window at a time, the oracle's in blocks
+        masks = threshold_mask(np.concatenate([pr.reshape(-1, pr.shape[-1]) for pr in probs]))
         assert np.min(masks) == 0.0 and np.max(masks) == 1.0, seed
         assert np.any(oracle != 0.0), seed
         assert np.max(np.abs(streamed - oracle)) <= 1e-4, seed
@@ -79,18 +82,20 @@ def test_incremental_mel_equals_recompute(config, small_pipeline, rng):
 @pytest.mark.parametrize("config", ["small", "default"])
 def test_oracle_feeds_unet_the_stream_mel(config, small_pipeline, rng, monkeypatch):
     """Stream and oracle build each window's mel from different pieces;
-    the UNet must still see bit-identical inputs for the same window."""
+    the UNet must still see bit-identical inputs for the same window.
+    The oracle passes its windows in blocks, which are unstacked here;
+    the signal spans more than one block."""
     cfg = small_pipeline if config == "small" else PipelineConfig()
     bundle = random_init(cfg, seed=4)
     seen = []
     real_forward = UNetEngine.forward
 
     def record(self, mel, cols=None, **kwargs):
-        seen.append((mel.copy(), cols))
+        seen.extend((m.copy(), cols) for m in np.reshape(mel, (-1,) + mel.shape[-2:]))
         return real_forward(self, mel, cols, **kwargs)
 
     monkeypatch.setattr(UNetEngine, "forward", record)
-    x = 0.3 * rng.standard_normal((2, 6 * cfg.tcn.packet_len))
+    x = 0.3 * rng.standard_normal((2, (_ORACLE_BLOCK + 6) * cfg.tcn.packet_len))
     enhance_signal(x, bundle, cfg)
     streamed = seen
     seen = []
@@ -99,6 +104,78 @@ def test_oracle_feeds_unet_the_stream_mel(config, small_pipeline, rng, monkeypat
     for (got, got_cols), (want, want_cols) in zip(seen, streamed):
         assert got_cols == want_cols == cfg.mask_cols
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("config,seed", [("small", 42), ("small", 18), ("default", 1),
+                                         ("default", 3), ("default", 4), ("default", 8)])
+def test_blocked_oracle_equals_per_window_reference(config, seed, small_pipeline, rng):
+    """The oracle runs the UNet and the combiner once per block of
+    _ORACLE_BLOCK windows.  Its output must equal, bit for bit, a
+    reference that takes each window on its own: the window's mel from
+    scratch, a UNet forward without a cache, the threshold and a
+    one-window combine, over the oracle's TCN output.  The window counts
+    straddle the block edges, and the weight seeds give masks that hold
+    both 0s and 1s."""
+    cfg = small_pipeline if config == "small" else PipelineConfig()
+    bundle = random_init(cfg, seed=seed)
+    w, la, nwin = cfg.tcn.packet_len, cfg.lookahead_cols, cfg.window_samples
+    b = _ORACLE_BLOCK
+    counts = (1, b - 1, b, b + 1, 2 * b + 3)
+    n_pkts = max(counts) + la
+    n = n_pkts * w
+    # a level sweep from 0.01 to 30, scaled per packet by 0.1 to 10
+    level = np.logspace(-2, 1.5, n) * np.repeat(10 ** rng.uniform(-1, 1, n_pkts), w)
+    x = level * rng.standard_normal((2, n))
+    # window p's mask reads the mixture up to packet p + la only, so a
+    # prefix of x has a prefix of these masks
+    engine, comb = UNetEngine(bundle, cfg.unet), _Combiner(cfg)
+    mixsum = x.sum(axis=0)
+    masks = []
+    for p in range(max(counts)):
+        end = (p + 1 + la) * w
+        probs = engine.forward(comb.unet_input(_pad_slice(mixsum, end - nwin, end)),
+                               cfg.mask_cols)
+        masks.append(threshold_mask(probs, cfg.unet.threshold))
+    assert np.min(masks) == 0.0 and np.max(masks) == 1.0
+    for k in counts:
+        xk = x[:, : (k + la) * w]
+        tcn = TcnEngine(bundle, cfg.tcn).forward_stream(xk)
+        want = np.concatenate([
+            comb.combine(_pad_slice(tcn, (p + 1) * w - nwin, (p + 1) * w), masks[p])
+            for p in range(k)
+        ])
+        got = offline_oracle(xk, bundle, cfg)
+        assert np.array_equal(got, want), k
+    assert np.any(got != 0.0)
+
+
+@pytest.mark.parametrize("config", ["small", "default"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_block_combine_equals_single_combines(config, small_pipeline, data):
+    """A combine over a stack of B windows and masks emits, row by row,
+    what B one-window combines emit, bit for bit."""
+    cfg = small_pipeline if config == "small" else PipelineConfig()
+    comb = _Combiner(cfg)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    b = data.draw(st.integers(1, 2 * _ORACLE_BLOCK + 3))
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    wins = scale * rng.standard_normal((b, cfg.window_samples))
+    masks = rng.random((b, cfg.unet.input_mel, cfg.cover_frames))
+    if data.draw(st.booleans()):
+        masks = threshold_mask(masks, data.draw(st.floats(0.01, 0.99)))
+    got = comb.combine(wins, masks)
+    assert got.shape == (b, cfg.hop)
+    for row, win, mask in zip(got, wins, masks):
+        assert np.array_equal(row, comb.combine(win, mask))
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_enhance_signal_rejects_bad_shapes(small_pipeline, small_pipeline_bundle, oracle):
+    """Both modes check the input's shape first, with one message."""
+    for bad in (np.zeros(640), np.zeros((3, 640)), np.zeros((1, 2, 640))):
+        with pytest.raises(ValueError, match=r"^expected \(2, n\) samples$"):
+            enhance_signal(bad, small_pipeline_bundle, small_pipeline, oracle=oracle)
 
 
 def test_ones_mask_equals_tcn_stream(small_pipeline, constant_mask_bundle, rng):

@@ -129,7 +129,8 @@ def test_default_shape_and_range(rng):
 @pytest.mark.parametrize("config", ["small", "default"])
 def test_column_cone_is_bit_identical(config, small_unet, rng):
     """forward(mel, (lo, hi)) computes only the up-path cone of those
-    columns; it must equal the same columns of a full forward exactly."""
+    columns; it must equal the same columns of a full forward exactly,
+    for a window on its own and for the same window in a stack."""
     cfg = small_unet if config == "small" else UNetConfig()
     w = cfg.input_frames
     ranges = [(0, 1), (0, 3), (w - 1, w), (w - 3, w), (1, 2), (w // 2 - 1, w // 2 + 2),
@@ -139,10 +140,12 @@ def test_column_cone_is_bit_identical(config, small_unet, rng):
         mel, other = np.abs(rng.standard_normal((2, cfg.input_mel, w)))
         full = engine.forward(mel)
         for lo, hi in ranges:
-            # fill the engine's scratch with another input's values, so a
-            # cone that reads a column it did not compute gets it wrong
+            # run another input first, so a cone that reads a stale
+            # column it did not compute gets it wrong
             engine.forward(other)
             assert np.array_equal(engine.forward(mel, (lo, hi)), full[:, lo:hi]), (lo, hi)
+            stacked = engine.forward(np.stack([other, mel]), (lo, hi))
+            assert np.array_equal(stacked[1], full[:, lo:hi]), (lo, hi)
         assert np.array_equal(engine.forward(mel), full)
 
 
@@ -218,6 +221,11 @@ def test_input_validation(small_unet):
     engine = UNetEngine(bundle, small_unet)
     with pytest.raises(ValueError, match="expected"):
         engine.forward(np.zeros((small_unet.input_mel, small_unet.input_frames + 1)))
+    with pytest.raises(ValueError, match="expected"):
+        engine.forward(np.zeros((1, 1, small_unet.input_mel, small_unet.input_frames)))
+    with pytest.raises(ValueError, match="one window"):
+        engine.forward(np.zeros((2, small_unet.input_mel, small_unet.input_frames)),
+                       cache=UNetCache(small_unet))
     bad = np.zeros((small_unet.input_mel, small_unet.input_frames))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
@@ -350,13 +358,16 @@ def test_cache_serves_every_column_of_a_shifting_window(mixed_engines):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_phase_maps_are_bit_identical_to_cache_free(config, mixed_engines, data):
-    """Over a random frame sequence, each window's forward through the
-    sequence's PhaseMaps equals a forward without them.  A window takes
-    its first `whole` columns from the sequence and redraws the rest, as
-    the oracle's zero-padded end frames are; sequences with fewer
-    windows than the deepest level's phases are drawn too.  Some
-    windows are given the wrong index, or a sequence frame altered, so
-    the maps' columns must be checked before they are copied."""
+    """Over a random frame sequence, each block of windows forwarded
+    through the sequence's PhaseMaps equals a forward of each window
+    without them.  A window takes its first `whole` columns from the
+    sequence and redraws the rest, as the oracle's zero-padded end
+    frames are; sequences with fewer windows than the deepest level's
+    phases are drawn too.  A block starts at any window and holds any
+    number of those that follow; a one-window block is sometimes passed
+    unstacked.  Some blocks are given the wrong index, or a sequence
+    frame of one window altered, so the maps' columns must be checked
+    before they are copied."""
     engines = mixed_engines[config]
     engine = engines[data.draw(st.integers(0, len(engines) - 1))]
     cfg = engine.cfg
@@ -368,23 +379,57 @@ def test_phase_maps_are_bit_identical_to_cache_free(config, mixed_engines, data)
     maps = PhaseMaps(engine, frames)
     lo = data.draw(st.integers(0, w - 1))
     cols = data.draw(st.sampled_from([None, (w - 5, w - 2), (lo, w)]))
-    for p in range(n_win):
-        mel = _window(cfg, rng)
-        mel[:, :whole] = frames[:, p : p + whole]
-        kind = data.draw(st.sampled_from(["window"] * 4 + ["index", "altered"]))
+    for _ in range(data.draw(st.integers(1, 4))):
+        p = data.draw(st.integers(0, n_win - 1))
+        mel = np.stack([_window(cfg, rng) for _ in range(data.draw(st.integers(1, n_win - p)))])
+        for j, m in enumerate(mel):
+            m[:, :whole] = frames[:, p + j : p + j + whole]
+        kind = data.draw(st.sampled_from(["block"] * 4 + ["index", "altered"]))
         at = p
         if kind == "index":
             at = data.draw(st.integers(0, n_win + 2))
         elif kind == "altered":
-            mel[:, data.draw(st.integers(0, whole - 1))] += 1.0
-        got = engine.forward(mel, cols, cache=maps.at(at))
-        assert np.array_equal(got, engine.forward(mel, cols)), (kind, p, at)
+            # any shared frame, or one of the last few, whose reach the
+            # copied columns share, mostly in a window after the first
+            j = len(mel) - 1 - data.draw(st.integers(0, len(mel) - 1))
+            t = st.integers(0, whole - 1) | st.integers(max(whole - 4, 0), whole - 1)
+            mel[j, :, data.draw(t)] += 1.0
+        if len(mel) == 1 and data.draw(st.booleans()):
+            got = engine.forward(mel[0], cols, cache=maps.at(at))[None]
+        else:
+            got = engine.forward(mel, cols, cache=maps.at(at))
+        assert len(got) == len(mel)
+        for j, m in enumerate(mel):
+            assert np.array_equal(got[j], engine.forward(m, cols)), (kind, p, j, at)
+
+
+def test_phase_maps_compare_every_window_of_a_block(mixed_engines):
+    """A block copies only what every one of its windows shares with the
+    sequence: altering the last shared frame of any one window makes
+    the block recompute the columns that read it."""
+    engine = mixed_engines["default"][2]
+    cfg = engine.cfg
+    pipe = PipelineConfig()
+    whole = cfg.input_frames - pipe.cover_frames + 1
+    rng = np.random.default_rng(9)
+    frames = _window(cfg, rng, 7 + whole)
+    maps = PhaseMaps(engine, frames)
+    mels = np.stack([_window(cfg, rng) for _ in range(8)])
+    for p, mel in enumerate(mels):
+        mel[:, :whole] = frames[:, p : p + whole]
+    for j in range(len(mels)):
+        altered = mels.copy()
+        altered[j, :, whole - 1] += 1.0
+        got = engine.forward(altered, pipe.mask_cols, cache=maps.at(0))
+        for k, mel in enumerate(altered):
+            assert np.array_equal(got[k], engine.forward(mel, pipe.mask_cols)), (j, k)
 
 
 def test_phase_maps_recompute_three_columns_per_level(mixed_engines):
     """At the default config a window of the oracle, whose last 2
     frames are zero-padded ones, computes 3 columns of each down level
-    over the stream's mask columns; the maps hold every other column."""
+    over the stream's mask columns; the maps hold every other column.
+    A block of B windows does B times that work."""
     engine = mixed_engines["default"][0]
     cfg = engine.cfg
     pipe = PipelineConfig()
@@ -396,12 +441,16 @@ def test_phase_maps_recompute_three_columns_per_level(mixed_engines):
             for i in range(cfg.levels)]
     want = unet_flop_count(cfg, pipe.mask_cols) - 2 * sum(
         d * ((cfg.input_frames >> i) - 3) for i, d in enumerate(down))
-    for p in range(21):
-        mel = _window(cfg, rng)
+    mels = np.stack([_window(cfg, rng) for _ in range(21)])
+    for p, mel in enumerate(mels):
         mel[:, :whole] = frames[:, p : p + whole]
         engine.tally.reset()
         engine.forward(mel, pipe.mask_cols, cache=maps.at(p))
         assert 2 * engine.tally.total() == want
+    for p, b in ((0, 21), (3, 7), (5, 16), (20, 1)):
+        engine.tally.reset()
+        engine.forward(mels[p : p + b], pipe.mask_cols, cache=maps.at(p))
+        assert 2 * engine.tally.total() == b * want, (p, b)
 
 
 def test_phase_maps_input_validation(mixed_engines):
