@@ -47,9 +47,10 @@ windows share with the whole-mixture maps, one threshold, and one
 masked iSTFT.  The UNet and the combiner take the stack in the same
 routines the stream calls with one window, and each window of a block
 comes out bit-identical to a call of its own.  Both paths compute every
-mel column through one per-frame routine, _Combiner.mel_frames, so
-their UNet inputs are bit-identical, and both set the same input
-samples to 0 at ingress (_sanitise).
+mel column through one routine, _Combiner.mel_frames, whose columns do
+not depend on which frames it computes together, so their UNet inputs
+are bit-identical, and both set the same input samples to 0 at ingress
+(_sanitise).
 """
 
 from __future__ import annotations
@@ -242,17 +243,25 @@ class _Combiner:
         """Fill out (n_mel, k) with the log1p mel magnitudes of STFT
         frames first .. first + k - 1 of x, framed as dsp.stft does
         (frame t covers x[t*hop : t*hop + win_len], zero outside x).
+        A (B, n) stack of signals fills a (B, n_mel, k) out, each from
+        its own signal.
 
-        Each frame goes through the same fixed-shape ops on its own, so
-        a column does not depend on which other frames are computed with
-        it: callers that cut a signal into windows differently still
-        get bit-identical columns for the same samples.
+        The k frames go through one rfft call, which transforms its rows
+        one by one, and one stacked matmul, which runs one GEMV per
+        frame; every other op is elementwise.  So a column does not
+        depend on which other frames are computed with it: callers that
+        cut a signal into windows differently still get bit-identical
+        columns for the same samples.
         """
         hop, wl = self.cfg.hop, self.cfg.win_len
-        for j in range(out.shape[1]):
-            s = (first + j) * hop
-            mag = np.abs(np.fft.rfft(_pad_slice(x, s, s + wl) * self.win))
-            out[:, j] = np.log1p(self.fb.weights @ mag)
+        k = out.shape[-1]
+        if not k:
+            return out
+        span = _pad_slice(x, first * hop, (first + k - 1) * hop + wl)
+        frames = sliding_window_view(span, wl, axis=-1)[..., ::hop, :]
+        mag = np.abs(np.fft.rfft(frames * self.win))
+        mel = np.matmul(self.fb.weights, mag[..., None])[..., 0]
+        out[...] = np.log1p(mel).swapaxes(-1, -2)
         return out
 
     def unet_input(self, mix_win: np.ndarray, mel: np.ndarray | None = None,
@@ -262,14 +271,13 @@ class _Combiner:
 
         Given mel whose columns [0, start) already hold each window's
         frames, only the columns from start on are computed, in place,
-        one window and one frame at a time (see mel_frames).
+        in one mel_frames call for the whole stack.
         """
         if mel is None:
             cfg = self.cfg.unet
             mel = np.empty(mix_win.shape[:-1] + (cfg.input_mel, cfg.input_frames))
             start = 0
-        for i in np.ndindex(mix_win.shape[:-1]):
-            self.mel_frames(mix_win[i], start, mel[i][:, start:])
+        self.mel_frames(mix_win, start, mel[..., start:])
         return mel
 
     def combine(self, tcn_win: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -593,6 +601,8 @@ def bench_packet(bundle, config: PipelineConfig | None = None,
                  n_packets: int = 100, cached: bool = True,
                  seed: int = 0, warmup: int = 3) -> BenchReport:
     """Wall-clock per-packet timing over synthetic random input."""
+    if n_packets < 1:
+        raise ValueError("n_packets must be >= 1")
     cfg = config or PipelineConfig()
     rng = np.random.default_rng(seed)
     w = cfg.tcn.packet_len

@@ -17,7 +17,9 @@ Two evaluation paths produce identical numbers:
 
 * batch: full_forward recomputes everything from an explicit context
   window, and forward_stream runs a whole signal in one pass, feeding
-  each layer its constant response to the silent past;
+  each layer its constant response to the silent past.  The pass holds
+  its activations in two buffers and each layer writes into the one it
+  does not read, so no layer allocates its output or copies its input;
 * streaming: TcnState keeps per-layer rolling activation buffers and,
   per push of k packets, computes only the 7k new frames of every layer,
   so a block of packets runs each layer's GEMM once, over 7k rows.
@@ -36,6 +38,9 @@ import numpy as np
 from scipy.special import expit
 
 DEFAULT_DILATIONS = (1, 2, 4, 8, 16, 32, 64, 1, 2, 4, 8, 16, 32, 64)
+# A layer's elementwise stages run over this many rows at a time: a
+# 64 x 512 float64 tile stays in cache between its taps and adds.
+_ROW_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -188,26 +193,41 @@ class TcnEngine:
         self.tally.enc += self.enc_wt.size * t
         return np.maximum(rows @ self.enc_wt + self.enc_b, 0.0)
 
-    def _layer(self, h: np.ndarray, i: int) -> np.ndarray:
-        """One causal dilated ds-conv layer: (T, N) -> (T - span, N)."""
+    def _layer(self, h: np.ndarray, i: int, out: np.ndarray | None = None) -> np.ndarray:
+        """One causal dilated ds-conv layer: (T, N) -> (T - span, N),
+        written into out when given.
+
+        The depthwise taps, and then the bias, ReLU and residual, run
+        over tiles of _ROW_TILE rows; the pointwise GEMM runs once over
+        all rows, whose bits depend on the row count.
+        """
         dw, pw_wt, pw_b = self.layers[i]
         d = self.cfg.dilations[i]
         k = self.cfg.conv_kernel
         span = (k - 1) * d
-        t_out = h.shape[0] - span
+        t_out, n = h.shape[0] - span, h.shape[1]
         if t_out <= 0:
             raise ValueError("input too short for dilated conv stack")
-        y = h[:t_out] * dw[0]
-        for j in range(1, k):
-            y += dw[j] * h[j * d : j * d + t_out]
-        z = y @ pw_wt
-        z += pw_b
-        n = h.shape[1]
+        if out is None:
+            out = np.empty((t_out, n))
+        y = np.empty((t_out, n))
+        tmp = np.empty((min(t_out, _ROW_TILE), n))
+        for r in range(0, t_out, _ROW_TILE):
+            yr = y[r : r + _ROW_TILE]
+            tr = tmp[: len(yr)]
+            np.multiply(h[r : r + len(yr)], dw[0], out=yr)
+            for j in range(1, k):
+                np.multiply(h[j * d + r : j * d + r + len(yr)], dw[j], out=tr)
+                yr += tr
+        np.matmul(y, pw_wt, out=out)
+        for r in range(0, t_out, _ROW_TILE):
+            zr = out[r : r + _ROW_TILE]
+            zr += pw_b
+            np.maximum(zr, 0.0, out=zr)
+            zr += h[span + r : span + r + len(zr)]
         self.tally.dw += n * k * t_out
         self.tally.pw += n * n * t_out
-        np.maximum(z, 0.0, out=z)
-        z += h[span:]
-        return z
+        return out
 
     def _mask_positions(self, enc: np.ndarray) -> np.ndarray:
         """Run the conv stack; returns sigmoid mask for positions
@@ -288,15 +308,21 @@ class TcnEngine:
         # Each layer sees the silent past as its constant response to
         # silence, as the primed TcnState buffers do: span rows of it
         # ahead of the t real rows keep every layer's output at t rows.
+        # Rows [s, s + t) of a buffer hold a layer's output, and the
+        # next layer writes its silent past into the span rows above.
         # Mask row la + j has seen la frames past encoder frame j.
-        h = enc
+        s = max(cfg.layer_spans)
+        bufs = np.empty((2, s + t, enc.shape[1]))
+        bufs[0, s:] = enc
         for i, const in enumerate(self._silence_constants()[:-1]):
-            past = np.tile(const, (cfg.layer_spans[i], 1))
-            h = np.concatenate([past, h], axis=0)  # frees the last output
-            h = self._layer(h, i)
-        mask = expit(h[la:])
+            src, dst = bufs[i % 2], bufs[1 - i % 2]
+            src[s - cfg.layer_spans[i] : s] = const
+            self._layer(src[s - cfg.layer_spans[i] :], i, dst[s:])
+        h = bufs[len(self.layers) % 2, s + la :]
+        mask = expit(h, out=h)
+        mask *= enc[: t - la]
         self.tally.mask_mult += mask.size
-        return self._decode(mask * enc[: t - la])
+        return self._decode(mask)
 
     # -- streaming evaluation --------------------------------------------
 

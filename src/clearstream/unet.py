@@ -40,15 +40,21 @@ over rows, so each window's map is bit-identical to its own forward.
 Like the column cone, this relies on a float32 GEMM giving each output
 row the same bits whatever the number of rows, which the tests check.
 
-Internally the engine computes in single precision with activations
-laid out channels-last, and holds only the map columns something reads:
-each ds-conv pads just its input span, and the up path's maps hold just
-their cone.  That keeps one forward inside a realtime packet budget on
-a single core; inputs and the returned probability map stay float64.
+Internally the engine computes in single precision with every map
+held time-major, (B, columns, n_mel, channels): a column's n_mel *
+channels values are contiguous, so the shifted multiplies of a ds-conv
+run over a few long rows however few columns the cone holds, and a
+window copies its columns from a cache or PhaseMaps as whole slabs.
+forward transposes at entry and exit, so callers see (n_mel, frames).
+The engine holds only the map columns something reads: each ds-conv
+pads just its input span, and the up path's maps hold just their cone.
+That keeps one forward inside a realtime packet budget on a single
+core; inputs and the returned probability map stay float64.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -188,10 +194,10 @@ class UNetCache:
     """
 
     def __init__(self, cfg: UNetConfig):
-        self.mel = np.zeros((cfg.input_mel, cfg.input_frames), dtype=np.float32)
+        self.mel = np.zeros((cfg.input_frames, cfg.input_mel), dtype=np.float32)
         self.links = np.zeros(1 << (cfg.levels - 1), dtype=np.int64)
         self.maps = [
-            [np.zeros((cfg.input_mel >> i, cfg.input_frames >> i, c), dtype=np.float32)
+            [np.zeros((cfg.input_frames >> i, cfg.input_mel >> i, c), dtype=np.float32)
              for _ in range(1 << i)]
             for i, c in enumerate(cfg.down_out)
         ]
@@ -200,7 +206,7 @@ class UNetCache:
     def arrays(self) -> list[np.ndarray]:
         """Every value a later forward can read: the last window, the
         links, and each map's valid columns."""
-        live = [m[:, f:] for maps, first in zip(self.maps, self.first)
+        live = [m[f:] for maps, first in zip(self.maps, self.first)
                 for m, f in zip(maps, first)]
         return [self.mel, self.links, *self.first, *live]
 
@@ -219,27 +225,28 @@ class PhaseMaps:
     clear of the window's left zero pad; it computes the rest.
 
     The maps hold (input_mel * base_channels) values per frame and
-    level.
+    level, time-major like the engine's.
     """
 
     def __init__(self, engine: UNetEngine, frames: np.ndarray):
         cfg = engine.cfg
-        frames = np.array(frames, dtype=np.float32)  # a copy the caller cannot change
+        frames = np.asarray(frames)
         if frames.ndim != 2 or frames.shape[0] != cfg.input_mel:
             raise ValueError(f"expected ({cfg.input_mel}, n) frames")
         self.engine = engine
-        self.frames = frames
+        # a time-major copy the caller cannot change
+        self.frames = np.ascontiguousarray(frames.T, dtype=np.float32)
         self.maps: list[list[np.ndarray]] = []
-        x = frames[None, :, :, None]
+        x = self.frames[None, :, :, None]
         for i, ds in enumerate(engine.down):
             level = []
             for phase in range(1 << i):
                 if i:
                     prev = self.maps[i - 1][phase % (1 << (i - 1))]
                     s = phase >> (i - 1)
-                    n = max((prev.shape[1] - s) // 2, 0)
-                    x = _pool2(prev[None, :, s : s + 2 * n])
-                wide = ds.widened(x.shape[2])
+                    n = max((len(prev) - s) // 2, 0)
+                    x = _pool2(prev[None, s : s + 2 * n])
+                wide = ds.widened(x.shape[1])
                 engine._tally_down(wide, wide.w)
                 level.append(wide.run(x)[0])
             self.maps.append(level)
@@ -261,41 +268,43 @@ class PhaseWindow(NamedTuple):
 
 
 def _pool2(x: np.ndarray) -> np.ndarray:
-    """2x2 max pool on (B, H, W, C), pairwise along each spatial axis."""
+    """2x2 max pool on time-major (B, W, H, C), pairwise along each
+    spatial axis: first over whole columns, then along the mel axis."""
     a = np.maximum(x[:, 0::2], x[:, 1::2])
     return np.maximum(a[:, :, 0::2], a[:, :, 1::2])
 
 
 class _DsConv:
     """Depthwise 3x3 + pointwise 1x1 + ReLU at one fixed resolution,
-    over a leading axis of B maps.
+    over a leading axis of B time-major maps.
 
     A run pads just the columns it reads, zero where they leave the
-    map, and views each padded row of (n + 2) * C values as contiguous,
-    so each of the nine shifted multiplies runs along whole rows; the
-    tap weights are tiled to the full width's row length to match.
+    map, and views each padded column of (h + 2) * C values as one
+    contiguous row, so each of the nine shifted multiplies runs over n
+    rows of h * C values; the tap weights are tiled to h * C to match.
     """
 
     def __init__(self, dw_w, pw_w, pw_b, h: int, w: int):
         self.cout, self.cin = pw_w.shape
         self.h, self.w = h, w
         self.taps = np.ascontiguousarray(
-            np.tile(np.transpose(dw_w, (1, 2, 0)), (1, 1, w)), dtype=np.float32
+            np.tile(np.transpose(dw_w, (1, 2, 0)), (1, 1, h)), dtype=np.float32
         )
         self.pw_wt = np.ascontiguousarray(pw_w.T, dtype=np.float32)
         self.pw_b = np.asarray(pw_b, dtype=np.float32)
 
     def widened(self, w: int) -> _DsConv:
         """The same conv at width w."""
-        dw_w = np.transpose(self.taps[:, :, : self.cin], (2, 0, 1))
-        return _DsConv(dw_w, self.pw_wt.T, self.pw_b, self.h, w)
+        wide = copy.copy(self)
+        wide.w = w
+        return wide
 
     def run(self, x: np.ndarray, a: int = 0, b: int | None = None,
             x0: int = 0) -> np.ndarray:
         """Output columns [a, b) (default all) of each map, shape
-        (B, h, b - a, cout).
+        (B, b - a, h, cout).
 
-        x is (B, h, m, cin) and holds map columns [x0, x0 + m).  It need
+        x is (B, m, h, cin) and holds map columns [x0, x0 + m).  It need
         hold only the columns those outputs read, [a - 1, b + 1) clipped
         to the map; zeros stand in for the columns beyond its edges.
         Every map goes through the same elementwise ops, and the
@@ -306,24 +315,24 @@ class _DsConv:
         b = w if b is None else b
         n = b - a
         lo, hi = max(a - 1, 0), min(b + 1, w)
-        pad = np.zeros((x.shape[0], h + 2, n + 2, c), dtype=np.float32)
-        pad[:, 1:-1, lo - a + 1 : hi - a + 1] = x[:, :, lo - x0 : hi - x0]
-        pad = pad.reshape(x.shape[0], h + 2, -1)
-        taps = self.taps[:, :, : n * c]
-        acc = pad[:, 0:h, 0 : n * c] * taps[0, 0]
+        pad = np.zeros((len(x), n + 2, h + 2, c), dtype=np.float32)
+        pad[:, lo - a + 1 : hi - a + 1, 1:-1] = x[:, lo - x0 : hi - x0]
+        pad = pad.reshape(len(x), n + 2, -1)
+        taps = self.taps
+        acc = pad[:, 0:n, 0 : h * c] * taps[0, 0]
         tmp = np.empty_like(acc)
         for dy in range(3):
             for dx in range(3):
                 if dy == 0 and dx == 0:
                     continue
-                np.multiply(pad[:, dy : dy + h, dx * c : (dx + n) * c], taps[dy, dx], out=tmp)
+                np.multiply(pad[:, dx : dx + n, dy * c : (dy + h) * c], taps[dy, dx], out=tmp)
                 acc += tmp
         acc = acc.reshape(-1, c)
         # with one input channel the GEMM is a broadcast product
         z = acc * self.pw_wt if c == 1 else acc @ self.pw_wt
         z += self.pw_b
         np.maximum(z, 0.0, out=z)
-        return z.reshape(x.shape[0], h, n, self.cout)
+        return z.reshape(len(x), n, h, self.cout)
 
 
 class _TConv:
@@ -340,12 +349,13 @@ class _TConv:
         self.b = np.asarray(tc_b, dtype=np.float32)
 
     def run(self, x: np.ndarray, out: np.ndarray) -> None:
-        """x (B, h, n, cmid) -> out (B, 2h, 2n, cout), written in place."""
-        bsz, h, n, _ = x.shape
-        piece = (x.reshape(-1, self.cmid) @ self.wt).reshape(bsz, h, n, 2, 2, self.cout)
+        """x (B, n, h, cmid) -> out (B, 2n, 2h, cout), written in place."""
+        bsz, n, h, _ = x.shape
+        # piece[..., dy, dx, :] is the output at mel offset dy, column offset dx
+        piece = (x.reshape(-1, self.cmid) @ self.wt).reshape(bsz, n, h, 2, 2, self.cout)
         out[:, 0::2, 0::2] = piece[:, :, :, 0, 0]
-        out[:, 0::2, 1::2] = piece[:, :, :, 0, 1]
-        out[:, 1::2, 0::2] = piece[:, :, :, 1, 0]
+        out[:, 0::2, 1::2] = piece[:, :, :, 1, 0]
+        out[:, 1::2, 0::2] = piece[:, :, :, 0, 1]
         out[:, 1::2, 1::2] = piece[:, :, :, 1, 1]
         out += self.b
         np.maximum(out, 0.0, out=out)
@@ -447,13 +457,13 @@ class UNetEngine:
             if i:
                 x0 = max(start - 1, 0)
                 # level i's columns [x0, w) pool the last 2 (w - x0) above
-                x = _pool2(skips[-1][:, :, -2 * (ds.w - x0) :])
+                x = _pool2(skips[-1][:, -2 * (ds.w - x0) :])
             m = copy(i, need, start)
-            m[:, :, start - need :] = ds.run(x, start, x0=x0)
+            m[:, start - need :] = ds.run(x, start, x0=x0)
             self._tally_down(ds, len(x) * (ds.w - start))
             skips.append(m)
         k = max(up[0][0] - 1, 0)
-        return skips, _pool2(skips[-1][:, :, -2 * (self.up[0][0].w - k) :])
+        return skips, _pool2(skips[-1][:, -2 * (self.up[0][0].w - k) :])
 
     def _down_cached(self, x: np.ndarray, cache: UNetCache,
                      up: list[tuple[int, int]]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -463,7 +473,7 @@ class UNetEngine:
         w = cfg.input_frames
         if len(x) != 1:
             raise ValueError("a UNetCache takes one window per forward")
-        differ = np.flatnonzero(np.any(x[0, :, :-1, 0] != cache.mel[:, 1:], axis=0))
+        differ = np.flatnonzero(np.any(x[0, :-1, :, 0] != cache.mel[1:], axis=1))
         links = cache.links
         links[1:] = links[:-1]
         links[0] = differ[0] if differ.size else w - 1
@@ -474,16 +484,16 @@ class UNetEngine:
         plan = self._plan(up, [same[(1 << i) - 1] for i in range(cfg.levels)],
                           [f[0] - 1 for f in cache.first])
 
-        def copy(i: int, need: int, start: int) -> np.ndarray:
+        def shifted(i: int, need: int, start: int) -> np.ndarray:
             maps, first = cache.maps[i], cache.first[i]
             m = maps.pop(0)
-            m[:, need:start] = m[:, need + 1 : start + 1]
+            m[need:start] = m[need + 1 : start + 1]
             maps.append(m)
             first[:-1] = first[1:]
             first[-1] = need
-            return m[None, :, need:]
+            return m[None, need:]
 
-        return self._down_planned(x, plan, up, copy)
+        return self._down_planned(x, plan, up, shifted)
 
     def _down_phased(self, x: np.ndarray, at: PhaseWindow,
                      up: list[tuple[int, int]]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -498,20 +508,20 @@ class UNetEngine:
         t = self.cfg.input_frames
         same = t
         for q, win in enumerate(x[:, :, :, 0], p):
-            seen = maps.frames[:, q : q + t]
-            differ = np.flatnonzero(np.any(win[:, : seen.shape[1]] != seen, axis=0))
-            same = min(same, differ[0] if differ.size else seen.shape[1])
+            seen = maps.frames[q : q + t]
+            differ = np.flatnonzero(np.any(win[: len(seen)] != seen, axis=1))
+            same = min(same, differ[0] if differ.size else len(seen))
         plan = self._plan(up, [same] * self.cfg.levels, [0] * self.cfg.levels)
 
-        def copy(i: int, need: int, start: int) -> np.ndarray:
+        def copied(i: int, need: int, start: int) -> np.ndarray:
             ds = self.down[i]
-            m = np.empty((len(x), ds.h, ds.w - need, ds.cout), dtype=np.float32)
+            m = np.empty((len(x), ds.w - need, ds.h, ds.cout), dtype=np.float32)
             for q, mq in enumerate(m, p):
                 off = q >> i
-                mq[:, : start - need] = maps.maps[i][q % (1 << i)][:, off + need : off + start]
+                mq[: start - need] = maps.maps[i][q % (1 << i)][off + need : off + start]
             return m
 
-        return self._down_planned(x, plan, up, copy)
+        return self._down_planned(x, plan, up, copied)
 
     def forward(self, mel_input: np.ndarray,
                 cols: tuple[int, int] | None = None,
@@ -546,7 +556,8 @@ class UNetEngine:
             raise ValueError(f"cols must satisfy 0 <= lo < hi <= {cfg.input_frames}")
         if not np.all(np.isfinite(mel_input)):
             raise ValueError("mel input must be finite")
-        x = mel_input.astype(np.float32).reshape(-1, cfg.input_mel, cfg.input_frames, 1)
+        x = mel_input.reshape(-1, cfg.input_mel, cfg.input_frames).swapaxes(1, 2)
+        x = x.astype(np.float32)[..., None]  # time-major (B, W, H, 1)
         bsz = len(x)
         up = cfg.up_cols(lo, hi)
         if cache is None:
@@ -557,25 +568,26 @@ class UNetEngine:
             skips, x = self._down_cached(x, cache, up)
         # every down-path map holds the columns at its right end; the
         # up path's maps hold just their cone, from column x0
-        x0 = self.up[0][0].w - x.shape[2]
+        x0 = self.up[0][0].w - x.shape[1]
         for i, ((ds, tc), (a, b)) in enumerate(zip(self.up, up)):
             px = bsz * ds.h * (b - a)
             self.tally.dw += ds.cin * 9 * px
             self.tally.pw += ds.cout * ds.cin * px
             self.tally.tc += tc.cmid * tc.cout * 4 * px
             skip = skips[cfg.levels - 1 - i]
-            s0 = 2 * ds.w - skip.shape[2]
-            cat = np.empty((bsz, 2 * ds.h, 2 * (b - a), tc.cout + skip.shape[3]),
+            s0 = 2 * ds.w - skip.shape[1]
+            cat = np.empty((bsz, 2 * (b - a), 2 * ds.h, tc.cout + skip.shape[3]),
                            dtype=np.float32)
             tc.run(ds.run(x, a, b, x0), cat[..., : tc.cout])
-            cat[..., tc.cout :] = skip[:, :, 2 * a - s0 : 2 * b - s0]
+            cat[..., tc.cout :] = skip[:, 2 * a - s0 : 2 * b - s0]
             x, x0 = cat, 2 * a
-        x = x[:, :, lo - x0 : hi - x0]
+        # the head reads whole columns: contiguous rows, as a full forward's
+        x = x[:, lo - x0 : hi - x0]
         self.tally.pw += self.out_wt.size * bsz * cfg.input_mel * (hi - lo)
         logits = x.reshape(-1, cfg.final_ch) @ self.out_wt
         logits += self.out_b
-        probs = expit(logits.reshape(mel_input.shape[:-1] + (hi - lo,)))
-        return probs.astype(np.float64)
+        probs = expit(logits.reshape(bsz, hi - lo, cfg.input_mel)).swapaxes(1, 2)
+        return probs.astype(np.float64, order="C").reshape(mel_input.shape[:-1] + (hi - lo,))
 
 
 def threshold_mask(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:

@@ -153,6 +153,10 @@ _MALFORMED = {
     "evaluate-empty_dir": ["evaluate", "{empty}", "--out", "{out}/e"],
     "syncsim-three_ppm": ["syncsim", "--ppm", "1,2,3"],
     "wiresim-drop_2": ["wiresim", "--drop", "2", "--packets", "10"],
+    "wiresim-packets_0": ["wiresim", "--packets", "0", "--channels", "2"],
+    "bench-packets_0": ["bench", "--config", "{cfg}", "--packets", "0"],
+    "bench-packets_-3": ["bench", "--config", "{cfg}", "--packets", "-3"],
+    "bench-uncached_packets_0": ["bench", "--config", "{cfg}", "--uncached-packets", "0"],
 }
 
 

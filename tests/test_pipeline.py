@@ -170,6 +170,33 @@ def test_block_combine_equals_single_combines(config, small_pipeline, data):
         assert np.array_equal(row, comb.combine(win, mask))
 
 
+@pytest.mark.parametrize("config", ["small", "default"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_batched_mel_equals_single_frames(config, small_pipeline, data):
+    """One mel_frames call over k frames fills, column by column, what k
+    one-frame calls do, bit for bit, wherever the frames lie: before
+    the signal's start, across it or past its end.  A (B, n) stack of
+    mixture windows gives, window by window, what B calls give."""
+    cfg = small_pipeline if config == "small" else PipelineConfig()
+    comb = _Combiner(cfg)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    n = data.draw(st.integers(1, 40)) * cfg.hop + data.draw(st.integers(0, cfg.hop - 1))
+    x = data.draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal(n)
+    reach = -(-cfg.win_len // cfg.hop)
+    first = data.draw(st.integers(-reach - 3, n // cfg.hop + 3))
+    k = data.draw(st.integers(1, 300))
+    got = comb.mel_frames(x, first, np.empty((cfg.unet.input_mel, k)))
+    for j in range(k):
+        one = comb.mel_frames(x, first + j, np.empty((cfg.unet.input_mel, 1)))
+        assert np.array_equal(got[:, j], one[:, 0]), (first, j)
+    wins = rng.standard_normal((data.draw(st.integers(1, 2 * _ORACLE_BLOCK)),
+                                cfg.window_samples))
+    stacked = comb.unet_input(wins)
+    for mel, win in zip(stacked, wins):
+        assert np.array_equal(mel, comb.unet_input(win))
+
+
 @pytest.mark.parametrize("oracle", [False, True])
 def test_enhance_signal_rejects_bad_shapes(small_pipeline, small_pipeline_bundle, oracle):
     """Both modes check the input's shape first, with one message."""
@@ -624,3 +651,5 @@ def test_bench_report_shape(small_pipeline, small_pipeline_bundle):
     assert 0 < reps[True].unet_flops_per_push < cone
     assert reps[True].net_flops_per_packet == (reps[True].tcn_flops_cached
                                                + reps[True].unet_flops_per_push)
+    with pytest.raises(ValueError, match="n_packets"):
+        bench_packet(small_pipeline_bundle, small_pipeline, n_packets=0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clearstream import tcn
 from clearstream.tcn import (
     TcnConfig,
     TcnEngine,
@@ -148,20 +149,39 @@ def test_block_push_equals_packet_pushes(small_tcn, sizes, seed):
         assert np.array_equal(a, b)
 
 
-def test_default_config_block_equals_packets():
-    """3 s of signal pushed as one block, on the full-size network."""
+def test_default_config_block_equals_packets(monkeypatch):
+    """3 s of signal pushed as one block, on the full-size network,
+    equals single-packet pushes bit for bit.  The whole-signal pass
+    feeds the decoder a bit-identical masked latent too; its 938 frames
+    are not a whole number of the pass's row tiles.  (It decodes all
+    rows in one GEMM, whose rows' last bits depend on the row count, so
+    its samples match the pushes' only to rounding.)"""
     cfg = TcnConfig()
     w = cfg.packet_len
     n_pkts = -(-3 * 15625 // w)
+    assert (n_pkts * cfg.frames_per_packet) % tcn._ROW_TILE
     x = 0.3 * np.random.default_rng(5).standard_normal((2, n_pkts * w))
     engine = TcnEngine(random_init(cfg, seed=2), cfg)
+    decoded = []
+    real_decode = TcnEngine._decode
+
+    def record(self, latent):
+        decoded.append(latent.reshape(-1, cfg.latent_channels).copy())
+        return real_decode(self, latent)
+
+    monkeypatch.setattr(TcnEngine, "_decode", record)
     single = engine.init_state()
     want = _push_blocks(single, x, [1] * n_pkts)
+    want_latent = np.concatenate(decoded)
     block = engine.init_state()
     assert np.array_equal(block.push_packet(x), want)
+    assert np.array_equal(decoded[-1], want_latent)
     assert block.buffer_values() == tcn_buffer_frames(cfg) * cfg.latent_channels
     for a, b in zip(block.bufs, single.bufs):
         assert np.array_equal(a, b)
+    # the pass's latent lags the pushes' by the lookahead
+    engine.forward_stream(x)
+    assert np.array_equal(decoded[-1], want_latent[cfg.lookahead_frames :])
 
 
 def test_receptive_field_analytics():
