@@ -67,11 +67,9 @@ def _bundle_for(args, cfg: PipelineConfig, required: bool):
     return random_init(cfg, seed=args.seed)
 
 
-def _require_counts(**counts: int) -> None:
-    """Reject a count flag below 1 (keyword: the flag's dest name)."""
-    for dest, n in counts.items():
-        if n < 1:
-            raise UsageError(f"--{dest.replace('_', '-')} must be >= 1, got {n}")
+def _require_count(flag: str, n: int) -> None:
+    if n < 1:
+        raise UsageError(f"{flag} must be >= 1, got {n}")
 
 
 def _out_dir(args) -> Path:
@@ -298,7 +296,7 @@ def _best_lag(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def cmd_wiresim(args) -> int:
-    _require_counts(packets=args.packets)
+    _require_count("--packets", args.packets)
     rng = np.random.default_rng(args.seed)
     pcm = rng.integers(-3000, 3000, size=args.packets * wire.SAMPLES_PER_PACKET)
     frames = wire.packetize(pcm.astype(np.int16))
@@ -329,7 +327,8 @@ def cmd_wiresim(args) -> int:
 # -- bench -------------------------------------------------------------------
 
 def cmd_bench(args) -> int:
-    _require_counts(packets=args.packets, uncached_packets=args.uncached_packets)
+    _require_count("--packets", args.packets)
+    _require_count("--uncached-packets", args.uncached_packets)
     cfg = _load_config(args.config)
     bundle = _bundle_for(args, cfg, required=False)
     cached = pipeline.bench_packet(bundle, cfg, n_packets=args.packets, cached=True,

@@ -314,10 +314,10 @@ class TcnEngine:
         s = max(cfg.layer_spans)
         bufs = np.empty((2, s + t, enc.shape[1]))
         bufs[0, s:] = enc
-        for i, const in enumerate(self._silence_constants()[:-1]):
+        for i, (const, span) in enumerate(zip(self._silence_constants(), cfg.layer_spans)):
             src, dst = bufs[i % 2], bufs[1 - i % 2]
-            src[s - cfg.layer_spans[i] : s] = const
-            self._layer(src[s - cfg.layer_spans[i] :], i, dst[s:])
+            src[s - span : s] = const
+            self._layer(src[s - span :], i, dst[s:])
         h = bufs[len(self.layers) % 2, s + la :]
         mask = expit(h, out=h)
         mask *= enc[: t - la]

@@ -336,29 +336,29 @@ class _DsConv:
 
 
 class _TConv:
-    """2x2 stride-2 transposed conv + ReLU: one GEMM, then a scatter of
-    the four phase grids into the doubled-resolution output."""
+    """2x2 stride-2 transposed conv + ReLU: one GEMM, bias and ReLU on
+    its contiguous output, then one scatter of the four phase grids
+    into the doubled-resolution output."""
 
     def __init__(self, tc_w, tc_b):
         cmid, cout = tc_w.shape[0], tc_w.shape[1]
         self.cmid, self.cout = cmid, cout
+        # GEMM columns are (dy, dx, cout): mel offset, column offset, channel
         self.wt = np.ascontiguousarray(
             np.transpose(tc_w, (0, 2, 3, 1)).reshape(cmid, 4 * cout),
             dtype=np.float32,
         )
-        self.b = np.asarray(tc_b, dtype=np.float32)
+        self.b = np.tile(np.asarray(tc_b, dtype=np.float32), 4)
 
     def run(self, x: np.ndarray, out: np.ndarray) -> None:
         """x (B, n, h, cmid) -> out (B, 2n, 2h, cout), written in place."""
         bsz, n, h, _ = x.shape
-        # piece[..., dy, dx, :] is the output at mel offset dy, column offset dx
-        piece = (x.reshape(-1, self.cmid) @ self.wt).reshape(bsz, n, h, 2, 2, self.cout)
-        out[:, 0::2, 0::2] = piece[:, :, :, 0, 0]
-        out[:, 0::2, 1::2] = piece[:, :, :, 1, 0]
-        out[:, 1::2, 0::2] = piece[:, :, :, 0, 1]
-        out[:, 1::2, 1::2] = piece[:, :, :, 1, 1]
-        out += self.b
-        np.maximum(out, 0.0, out=out)
+        z = x.reshape(-1, self.cmid) @ self.wt
+        z += self.b
+        np.maximum(z, 0.0, out=z)
+        # out[:, 2c + dx, 2r + dy] is z at column c, mel row r, offsets (dy, dx)
+        grid = np.reshape(out, (bsz, n, 2, h, 2, self.cout), copy=False)
+        grid[...] = z.reshape(bsz, n, h, 2, 2, self.cout).transpose(0, 1, 4, 2, 3, 5)
 
 
 class UNetEngine:
