@@ -235,7 +235,7 @@ class PhaseMaps:
             raise ValueError(f"expected ({cfg.input_mel}, n) frames")
         self.engine = engine
         # a time-major copy the caller cannot change
-        self.frames = np.ascontiguousarray(frames.T, dtype=np.float32)
+        self.frames = np.array(frames.T, dtype=np.float32, order="C")
         self.maps: list[list[np.ndarray]] = []
         x = self.frames[None, :, :, None]
         for i, ds in enumerate(engine.down):
