@@ -54,7 +54,6 @@ core; inputs and the returned probability map stay float64.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -295,9 +294,8 @@ class _DsConv:
 
     def widened(self, w: int) -> _DsConv:
         """The same conv at width w."""
-        wide = copy.copy(self)
-        wide.w = w
-        return wide
+        dw_w = np.transpose(self.taps[:, :, : self.cin], (2, 0, 1))
+        return _DsConv(dw_w, self.pw_wt.T, self.pw_b, self.h, w)
 
     def run(self, x: np.ndarray, a: int = 0, b: int | None = None,
             x0: int = 0) -> np.ndarray:
@@ -356,8 +354,11 @@ class _TConv:
         z = x.reshape(-1, self.cmid) @ self.wt
         z += self.b
         np.maximum(z, 0.0, out=z)
-        # out[:, 2c + dx, 2r + dy] is z at column c, mel row r, offsets (dy, dx)
-        grid = np.reshape(out, (bsz, n, 2, h, 2, self.cout), copy=False)
+        # out[:, 2c + dx, 2r + dy] is z at column c, mel row r, offsets
+        # (dy, dx); the reshape only splits out's column and mel axes,
+        # so grid is a view of out whatever out's channel stride
+        grid = out.reshape(bsz, n, 2, h, 2, self.cout)
+        assert np.may_share_memory(grid, out)
         grid[...] = z.reshape(bsz, n, h, 2, 2, self.cout).transpose(0, 1, 4, 2, 3, 5)
 
 
@@ -484,7 +485,7 @@ class UNetEngine:
         plan = self._plan(up, [same[(1 << i) - 1] for i in range(cfg.levels)],
                           [f[0] - 1 for f in cache.first])
 
-        def shifted(i: int, need: int, start: int) -> np.ndarray:
+        def copy(i: int, need: int, start: int) -> np.ndarray:
             maps, first = cache.maps[i], cache.first[i]
             m = maps.pop(0)
             m[need:start] = m[need + 1 : start + 1]
@@ -493,7 +494,7 @@ class UNetEngine:
             first[-1] = need
             return m[None, need:]
 
-        return self._down_planned(x, plan, up, shifted)
+        return self._down_planned(x, plan, up, copy)
 
     def _down_phased(self, x: np.ndarray, at: PhaseWindow,
                      up: list[tuple[int, int]]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -513,7 +514,7 @@ class UNetEngine:
             same = min(same, differ[0] if differ.size else len(seen))
         plan = self._plan(up, [same] * self.cfg.levels, [0] * self.cfg.levels)
 
-        def copied(i: int, need: int, start: int) -> np.ndarray:
+        def copy(i: int, need: int, start: int) -> np.ndarray:
             ds = self.down[i]
             m = np.empty((len(x), ds.w - need, ds.h, ds.cout), dtype=np.float32)
             for q, mq in enumerate(m, p):
@@ -521,7 +522,7 @@ class UNetEngine:
                 mq[: start - need] = maps.maps[i][q % (1 << i)][off + need : off + start]
             return m
 
-        return self._down_planned(x, plan, up, copied)
+        return self._down_planned(x, plan, up, copy)
 
     def forward(self, mel_input: np.ndarray,
                 cols: tuple[int, int] | None = None,
@@ -557,7 +558,7 @@ class UNetEngine:
         if not np.all(np.isfinite(mel_input)):
             raise ValueError("mel input must be finite")
         x = mel_input.reshape(-1, cfg.input_mel, cfg.input_frames).swapaxes(1, 2)
-        x = x.astype(np.float32)[..., None]  # time-major (B, W, H, 1)
+        x = x.astype(np.float32, order="C")[..., None]  # time-major (B, W, H, 1)
         bsz = len(x)
         up = cfg.up_cols(lo, hi)
         if cache is None:
