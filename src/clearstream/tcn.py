@@ -39,7 +39,10 @@ from scipy.special import expit
 
 DEFAULT_DILATIONS = (1, 2, 4, 8, 16, 32, 64, 1, 2, 4, 8, 16, 32, 64)
 # A layer's elementwise stages run over this many rows at a time: a
-# 64 x 512 float64 tile stays in cache between its taps and adds.
+# 64 x 512 float64 tile stays in cache between its taps and adds, and
+# the tap scratch is one tile, not a (T, N) array.  Against one
+# whole-array pass, a 3 s default-config forward_stream took 112-121
+# instead of 127-128 ms (2-vCPU Xeon, OpenBLAS at 2 threads).
 _ROW_TILE = 64
 
 
