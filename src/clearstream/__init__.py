@@ -43,7 +43,6 @@ from .pipeline import (
 from .syncsim import SyncSimConfig, run_sim, startup_align
 from .tcn import TcnConfig, TcnEngine, tcn_flop_count
 from .unet import (
-    UNetCache,
     UNetConfig,
     UNetEngine,
     threshold_mask,
@@ -70,7 +69,6 @@ __all__ = [
     "SyncSimConfig",
     "TcnConfig",
     "TcnEngine",
-    "UNetCache",
     "UNetConfig",
     "UNetEngine",
     "WaveBuffer",

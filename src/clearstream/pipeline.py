@@ -8,26 +8,31 @@ newest input.  Each layer's pointwise GEMM runs once over all 7k new
 frames, so the pass reads the TCN weights once instead of k times.  Only the decoder runs per packet,
 as one stacked matmul: OpenBLAS's (M, 512) @ (512, 50) decoder GEMM
 gives rows that differ in the last bit for M >= 14, so one GEMM over
-the block would not match single pushes.  Then, per packet, the stream
+the block would not match single pushes.  Each packet then ends one
+placement of two trailing 64-frame windows (22400 samples), one of the
+mixture's mono sum (L+R) and one of the TCN output, and _enhance_block
+turns a stack of up to _ORACLE_BLOCK such placements into their packets:
 
-1. appends the packet's mono sum (L+R) and its TCN output to trailing
-   64-frame windows (22400 samples each);
-2. shifts the log1p mel spectrogram of the mixture window by one
-   column and computes only its `cover_frames` newest columns (the
-   newest complete STFT frame and the ones zero-padded at the window
-   end; every older frame is unchanged by the shift), then runs the
-   UNet for the `cover_frames` mask columns the combiner reads, through
-   the stream's UNetCache, and thresholds them to a binary mel mask;
-3. expands the mask to linear bins, applies it to the STFT frames of
-   the TCN-output window that cover the newest complete TCN packet, and
-   re-synthesizes exactly those 350 samples by weighted overlap-add.
+1. the log1p mel spectrogram of each mixture window is its inside
+   frames (wholly inside the mixture so far; each packet adds one),
+   plus the frames zero-padded at the window end;
+2. one UNet forward computes the `cover_frames` mask columns the
+   combiner reads, copying its down path from a PhaseMaps, and they
+   are thresholded to a binary mel mask;
+3. the mask, expanded to linear bins, is applied to the STFT frames of
+   the TCN-output window that cover its newest packet, and exactly
+   those 350 samples are re-synthesized by weighted overlap-add.
 
 Computing only those mask columns is exact: the UNet convs are local
 and zero-padded, so a mask column depends on a bounded cone of the up
-path (see UNetEngine.forward).  The cache is exact too: each down level
-copies the columns a one-column shift of the window leaves unchanged
-from its map of 2^L pushes back, and recomputes the few near the
-window's edges (see UNetCache).
+path (see UNetEngine.forward); so is copying from the maps (see
+PhaseMaps).  The stream grows its maps push by push; offline_oracle()
+computes every inside frame and builds the maps once over the whole
+mixture, after one batch TCN pass, then runs the same _enhance_block.
+Both compute every mel column through _Combiner.mel_frames, whose
+columns do not depend on which frames it computes together, and both
+set the same input samples to 0 at ingress (_sanitise), so the two
+agree to float rounding.
 
 The mixture window ends `lookahead` samples after the emitted packet
 and the TCN window ends at the packet's right edge, so the mel mask
@@ -35,22 +40,6 @@ column for a given absolute STFT frame lands on the matching TCN frame
 (the windows differ by exactly lookahead/hop = 2 columns).  End-to-end
 delay is therefore exactly `lookahead`: the packet covering input
 sample t is emitted once input has advanced past t + lookahead + W.
-
-offline_oracle() recomputes the same quantities without any streaming
-state and must agree with the stream to float rounding: one batch TCN
-pass; the mixture's mel frames, computed once; the UNet down path over
-those frames, computed once per pooling phase (PhaseMaps) rather than
-carried from push to push; then, per block of _ORACLE_BLOCK window
-placements stacked on a leading axis, one UNet forward over the mask
-columns the combiner reads, which copies the down-path columns the
-windows share with the whole-mixture maps, one threshold, and one
-masked iSTFT.  The UNet and the combiner take the stack in the same
-routines the stream calls with one window, and each window of a block
-comes out bit-identical to a call of its own.  Both paths compute every
-mel column through one routine, _Combiner.mel_frames, whose columns do
-not depend on which frames it computes together, so their UNet inputs
-are bit-identical, and both set the same input samples to 0 at ingress
-(_sanitise).
 """
 
 from __future__ import annotations
@@ -74,7 +63,6 @@ from .dsp import (
 from .tcn import TcnConfig, TcnEngine, tcn_flop_count
 from .unet import (
     PhaseMaps,
-    UNetCache,
     UNetConfig,
     UNetEngine,
     threshold_mask,
@@ -212,10 +200,10 @@ def _pad_slice(x: np.ndarray, start: int, end: int) -> np.ndarray:
 
 
 def _windows(x: np.ndarray, n: int, step: int) -> np.ndarray:
-    """Row p views x[(p + 1) * step - n : (p + 1) * step], zero before
-    the start of x, for every p whose range ends inside x."""
-    padded = np.concatenate([np.zeros(n - step), x])
-    return sliding_window_view(padded, n)[::step]
+    """Row p views x[p * step : p * step + n], for every p whose range
+    lies inside the contiguous x."""
+    rows = max((len(x) - n) // step + 1, 0)
+    return np.ndarray((rows, n), x.dtype, x, strides=(step * x.itemsize, x.itemsize))
 
 
 class _Combiner:
@@ -264,20 +252,24 @@ class _Combiner:
         out[...] = np.log1p(mel).swapaxes(-1, -2)
         return out
 
-    def unet_input(self, mix_win: np.ndarray, mel: np.ndarray | None = None,
-                   start: int = 0) -> np.ndarray:
+    def unet_input(self, mix_win: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
         """The (n_mel, T) log1p mel spectrogram of a mixture window, or
         the (B, n_mel, T) spectrograms of a (B, n) stack of them.
 
-        Given mel whose columns [0, start) already hold each window's
-        frames, only the columns from start on are computed, in place,
-        in one mel_frames call for the whole stack.
+        For a stack of consecutive windows, one hop apart, first may give
+        the first window's inside frames but its newest, (n_mel, whole -
+        1): one mel_frames call then computes only each window's newest
+        inside frame and the frames zero-padded at its end, and each later
+        window's older frames are the window before's.
         """
-        if mel is None:
-            cfg = self.cfg.unet
-            mel = np.empty(mix_win.shape[:-1] + (cfg.input_mel, cfg.input_frames))
-            start = 0
+        cfg = self.cfg.unet
+        mel = np.empty(mix_win.shape[:-1] + (cfg.input_mel, cfg.input_frames))
+        start = 0 if first is None else cfg.input_frames - self.cfg.cover_frames
         self.mel_frames(mix_win, start, mel[..., start:])
+        if first is not None:
+            mel[0, :, :start] = first
+            for i in range(1, len(mel)):
+                mel[i, :, :start] = mel[i - 1, :, 1 : start + 1]
         return mel
 
     def combine(self, tcn_win: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -307,6 +299,28 @@ class _Combiner:
         return out / self.den
 
 
+def _enhance_block(cfg: PipelineConfig, unet: UNetEngine, comb: _Combiner, cache,
+                   first: np.ndarray, mix_wins: np.ndarray,
+                   tcn_wins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, hop) packets of B consecutive windows, and their mels.
+
+    mix_wins and tcn_wins are the (B, n) mixture and TCN-output windows,
+    and first the first window's inside frames but its newest (see
+    _Combiner.unet_input).  cache is PhaseMaps.at of the first window,
+    whose maps are given the inside frames they lack, or None.  Each
+    window of the stack comes out bit-identical to a call of its own.
+    """
+    whole = cfg.unet.input_frames - cfg.cover_frames + 1
+    mel = comb.unet_input(mix_wins, first)
+    if cache is not None:
+        maps, p = cache
+        maps.append(first[:, maps.n - p :])
+        maps.append(mel[maps.n - p - whole + 1 :, :, whole - 1].T)
+    probs = unet.forward(mel, cfg.mask_cols, cache=cache)
+    mask = threshold_mask(probs, cfg.unet.threshold)
+    return comb.combine(tcn_wins, mask), mel
+
+
 class CbNetStream:
     """Packetwise streaming state for the full enhancement network."""
 
@@ -316,30 +330,17 @@ class CbNetStream:
         self.unet_engine = UNetEngine(bundle, self.cfg.unet)
         self.comb = _Combiner(self.cfg)
         self.tcn_state = self.tcn_engine.init_state()
-        self.unet_cache: UNetCache | None = UNetCache(self.cfg.unet)
-        n = self.cfg.window_samples
-        self.mix_win = np.zeros(n)
-        self.tcn_win = np.zeros(n)
+        # the UNet down path over the windows' inside frames, from the
+        # first window that emits a packet; None reuses nothing
+        self.maps = PhaseMaps(self.unet_engine, np.empty((self.cfg.unet.input_mel, 0)))
+        # mix_win and tcn_win, each row followed by room for a push's packets
+        self.wins = np.zeros((2, self.cfg.window_samples))
+        self.mix_win, self.tcn_win = self.wins
         # mel of mix_win; that of the silent window is exactly 0
         self.mix_mel = np.zeros((self.cfg.unet.input_mel, self.cfg.unet.input_frames))
         self.packets_seen = 0
         # input samples set to 0: non-finite, or beyond the float32 range
         self.samples_sanitised = 0
-
-    def _advance_mel(self) -> np.ndarray:
-        """Shift mix_mel one column and compute its newest columns."""
-        cfg = self.cfg
-        mel = self.mix_mel
-        mel[:, :-1] = mel[:, 1:]
-        return self.comb.unet_input(
-            self.mix_win, mel, cfg.unet.input_frames - cfg.cover_frames
-        )
-
-    def _mask(self) -> np.ndarray:
-        cfg = self.cfg
-        probs = self.unet_engine.forward(self._advance_mel(), cfg.mask_cols,
-                                         cache=self.unet_cache)
-        return threshold_mask(probs, cfg.unet.threshold)
 
     def _tcn_push(self, x: np.ndarray) -> np.ndarray:
         return self.tcn_state.push_packet(x)
@@ -352,9 +353,20 @@ class CbNetStream:
         Samples that are not finite or exceed the float32 range in
         magnitude are replaced by 0 (see _sanitise) before any state
         changes, and counted in samples_sanitised.  The TCN then runs
-        once over the whole block; the mixture window, mel, UNet and
-        combiner still step packet by packet, so the output is
-        bit-identical to k single-packet pushes.
+        once over the whole block, and the packets' windows go through
+        _enhance_block in blocks of _ORACLE_BLOCK (a stream's first ones
+        alone).  A window reads only its own frames and map columns equal
+        to its own, so the output is bit-identical to single pushes.
+
+        Down-path work of a primed one-packet push: of whole = T -
+        cover_frames + 1 inside frames, a level-L column j reads frames
+        up to 2^L (j + 1) + 2^(L+1) - 2, so only j < J_L = (whole -
+        2^(L+1) + 1) >> L can be copied.  The window 2^L packets back,
+        of the same phase, kept its columns up to its J_L - 1, this
+        window's J_L - 2.  So the push computes columns J_L - 1 .. w_L - 1
+        of each level (w_L = T / 2^L), keeping J_L - 1: 4 per level at
+        the default config (T = 64, whole = 62), 5 and 4 at T = 16,
+        whole = 13 and two levels.
 
         The emitted samples cover the input `lookahead` samples back; the
         first lookahead/W packets of a cold stream are the pre-stream
@@ -365,22 +377,44 @@ class CbNetStream:
         """
         x = np.asarray(x, dtype=np.float64)
         cfg = self.cfg
-        cfg.tcn.packets_in(x)
-        w = cfg.tcn.packet_len
+        k = cfg.tcn.packets_in(x)
+        w, nwin = cfg.tcn.packet_len, cfg.window_samples
+        whole = cfg.unet.input_frames - cfg.cover_frames + 1
         x, bad = _sanitise(x)
         self.samples_sanitised += bad
         tcn_out = self._tcn_push(x)
-        out = np.zeros(x.shape[1])
-        for s in range(0, x.shape[1], w):
-            self.packets_seen += 1
-            self.mix_win[:-w] = self.mix_win[w:]
-            self.mix_win[-w:] = x[:, s : s + w].sum(axis=0)
-            if self.packets_seen <= cfg.lookahead_cols:
-                self._advance_mel()
-                continue
-            self.tcn_win[:-w] = self.tcn_win[w:]
-            self.tcn_win[-w:] = tcn_out[s : s + w]
-            out[s : s + w] = self.comb.combine(self.tcn_win, self._mask())
+        # the window after packet i of this push is window q0 + i of the
+        # maps' sequence; windows before 0 emit the silent past
+        q0 = self.packets_seen - cfg.lookahead_cols
+        cold = min(max(-q0, 0), k)
+        self.packets_seen += k
+        adv = (k * w, (k - cold) * w)  # samples the mixture and TCN windows advance
+        if self.wins.shape[1] < nwin + k * w:
+            self.wins = np.concatenate([self.wins[:, :nwin], np.empty((2, k * w))], axis=1)
+        self.wins[0, nwin : nwin + adv[0]] = x.sum(axis=0)
+        self.wins[1, nwin : nwin + adv[1]] = tcn_out[cold * w :]
+        mix_wins = _windows(self.wins[0, w : nwin + adv[0]], nwin, w)
+        tcn_wins = _windows(self.wins[1, w : nwin + adv[1]], nwin, w)
+        mel = [self.mix_mel]
+        if cold:  # the windows of the silent past need only their mels
+            mel = self.comb.unet_input(mix_wins[:cold], self.mix_mel[:, 1:whole])
+        out, a = np.zeros(k * w), cold
+        while a < k:
+            # until each phase of the deepest level has had a window, windows
+            # go alone: stacked, none could copy what the others keep
+            b = min(a + (_ORACLE_BLOCK if q0 + a >= 1 << (cfg.unet.levels - 1) else 1), k)
+            cache = None if self.maps is None else self.maps.at(q0 + a)
+            pkts, mel = _enhance_block(cfg, self.unet_engine, self.comb, cache,
+                                       mel[-1][:, 1:whole], mix_wins[a:b],
+                                       tcn_wins[a - cold : b - cold])
+            out[a * w : b * w] = pkts.reshape(-1)
+            if cache is not None:
+                self.maps.drop(q0 + b)
+            a = b
+        for r, a in zip(self.wins, adv):
+            r[:nwin] = r[a : a + nwin]
+        self.mix_win, self.tcn_win = self.wins[:, :nwin]
+        self.mix_mel = mel[-1]
         return out
 
 
@@ -393,13 +427,9 @@ def offline_oracle(x: np.ndarray, bundle,
     enhancement of x[..., :S-lookahead]), with the same samples set to
     0 at ingress; the TCN runs as one batch pass.  Every STFT frame
     that lies wholly inside some window is computed once, over the
-    whole mixture, and so is the UNet down path over those frames, once
-    per pooling phase (PhaseMaps).  Per window placement only the
-    frames zero-padded at the window end are added, the down path
-    recomputes the few columns that read them or the window's left
-    zero pad and copies the rest, and the up path computes just the
-    mask columns cfg.mask_cols.  The UNet, the threshold and the
-    combiner each run once per block of _ORACLE_BLOCK windows.
+    whole mixture, and so is the UNet down path over those frames
+    (PhaseMaps).  The windows then go through _enhance_block, the
+    stream's routine, in blocks of _ORACLE_BLOCK.
     """
     cfg = config or PipelineConfig()
     x = np.asarray(x, dtype=np.float64)
@@ -434,19 +464,15 @@ def offline_oracle(x: np.ndarray, bundle,
         mixsum, first, np.empty((cfg.unet.input_mel, n_out - 1 + whole))
     )
     maps = PhaseMaps(unet_engine, frames)
-    inside = sliding_window_view(frames, whole, axis=1)  # [:, p] is window p's
     # window p ends at TCN sample (p + 1) w and mixture sample (p + 1 + la_pkts) w
-    tcn_wins = _windows(tcn_stream, nwin, w)
-    mix_wins = _windows(mixsum, nwin, w)[la_pkts:]
+    pad = np.zeros(nwin - w)
+    tcn_wins = _windows(np.concatenate([pad, tcn_stream]), nwin, w)
+    mix_wins = _windows(np.concatenate([pad, mixsum]), nwin, w)[la_pkts:]
     for p in range(0, n_out, _ORACLE_BLOCK):
         q = min(p + _ORACLE_BLOCK, n_out)
-        mel = np.empty((q - p, cfg.unet.input_mel, t_frames))
-        mel[:, :, :whole] = inside[:, p:q].transpose(1, 0, 2)
-        probs = unet_engine.forward(
-            comb.unet_input(mix_wins[p:q], mel, whole), cfg.mask_cols, cache=maps.at(p)
-        )
-        mask = threshold_mask(probs, cfg.unet.threshold)
-        out[p:q] = comb.combine(tcn_wins[p:q], mask)
+        out[p:q] = _enhance_block(cfg, unet_engine, comb, maps.at(p),
+                                  frames[:, p : p + whole - 1], mix_wins[p:q],
+                                  tcn_wins[p:q])[0]
     return out.reshape(-1)
 
 
@@ -580,11 +606,11 @@ class BenchReport:
 
 class _UncachedRunner(CbNetStream):
     """The stream with per-packet full TCN recompute and a UNet without
-    a cache (no activation reuse), for comparison."""
+    phase maps (no activation reuse), for comparison."""
 
     def __init__(self, bundle, cfg: PipelineConfig):
         super().__init__(bundle, cfg)
-        self.unet_cache = None
+        self.maps = None
         self.in_win = np.zeros((cfg.tcn.in_channels, cfg.tcn.min_input_samples))
 
     def _tcn_push(self, x: np.ndarray) -> np.ndarray:

@@ -17,34 +17,32 @@ neighbourhood one level down, and the values come out bit-identical to
 the same columns of a full forward.  The stream and the batch oracle
 read just the few mask columns that cover the packet they emit.
 
-Without a cache the down path runs in full and nothing is kept between
-forwards; that forward is the reference the two reusing ones are tested
-against.  A window shifted by one column is shifted by 2^-L columns at
-level L, so windows 2^L columns apart share level L's pooling phase.
-A stream, whose window moves one column per packet, passes a UNetCache:
-level L reuses its map from 2^L forwards back, shifted by one column,
-and recomputes only the columns whose inputs changed.  The batch oracle,
-which holds the whole mixture's frames, builds a PhaseMaps instead:
-each level's map over the whole frame sequence, once per pooling phase,
-from which each window copies its columns and recomputes only those
-that read its zero-padded end frames or its left zero pad.  Either way
-reuse is decided by comparing the window with what the maps were built
-from, so the output is bit-identical to a cache-free forward for any
-call sequence.
+Without phase maps the down path runs in full and nothing is kept
+between forwards; that forward is the reference the reusing one is
+tested against.  A window shifted by one column is shifted by 2^-L
+columns at level L, so windows 2^L columns apart share level L's
+pooling phase.  PhaseMaps holds each level's columns over a frame
+sequence, every phase at once: the batch oracle builds them over the
+whole mixture, and a stream grows them window by window.  A window
+copies its columns from there and recomputes only those that read its
+zero-padded end frames or its left zero pad, or that the maps do not
+hold yet.  Reuse is decided by comparing the window with the frames
+the maps saw, so the output is bit-identical to a forward without them
+for any call sequence.
 
 A forward also takes a stack of B windows, and each stage then runs
-once over all of them on a leading axis: the oracle forwards its
-windows in blocks, windows p .. p + B - 1 through PhaseMaps.at(p),
-and the stream forwards one.  Every stage is elementwise or a GEMM
-over rows, so each window's map is bit-identical to its own forward.
-Like the column cone, this relies on a float32 GEMM giving each output
-row the same bits whatever the number of rows, which the tests check.
+once over all of them on a leading axis: the oracle and the stream
+forward their windows in blocks, windows p .. p + B - 1 through
+PhaseMaps.at(p).  Every stage is elementwise or a GEMM over rows, so
+each window's map is bit-identical to its own forward.  Like the
+column cone, this relies on a float32 GEMM giving each output row the
+same bits whatever the number of rows, which the tests check.
 
 Internally the engine computes in single precision with every map
 held time-major, (B, columns, n_mel, channels): a column's n_mel *
 channels values are contiguous, so the shifted multiplies of a ds-conv
 run over a few long rows however few columns the cone holds, and a
-window copies its columns from a cache or PhaseMaps as whole slabs.
+window copies its columns from PhaseMaps as whole slabs.
 forward transposes at entry and exit, so callers see (n_mel, frames).
 The engine holds only the map columns something reads: each ds-conv
 pads just its input span, and the up path's maps hold just their cone.
@@ -55,7 +53,6 @@ core; inputs and the returned probability map stay float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -169,101 +166,127 @@ class UNetTally:
         self.dw = self.pw = self.tc = 0
 
 
-class UNetCache:
-    """The down-path maps one stream carries from one forward to the next.
-
-    Level L keeps its output maps from the last 2^L forwards, oldest
-    first: a window shifted by 2^L columns is shifted by exactly one
-    column at level L, with the same pooling phase.  A level-L column
-    reads the 2^(L+1) - 1 input columns either side of its own 2^L
-    (its reach), so it equals the next column of the map 2^L forwards
-    back wherever that span holds the same values, shifted, and stays
-    inside the window.  The window's right end changes every forward
-    and its left edge reads the zero pad, so the columns near either
-    edge are recomputed (those at the left only when something reads
-    them); every other column is copied.
-
-    links[i] is the number of leading columns in which the window i
-    forwards back equals the one before it shifted left by one: the
-    first column where they differ, found by comparing them, not
-    assumed.  A window that is not a shift of the last one gives a
-    short link, and the levels whose span it falls in recompute in
-    full.  first[L][s] is the first column of map s that holds valid
-    values; the columns before it are never read.
-    """
-
-    def __init__(self, cfg: UNetConfig):
-        self.mel = np.zeros((cfg.input_frames, cfg.input_mel), dtype=np.float32)
-        self.links = np.zeros(1 << (cfg.levels - 1), dtype=np.int64)
-        self.maps = [
-            [np.zeros((cfg.input_frames >> i, cfg.input_mel >> i, c), dtype=np.float32)
-             for _ in range(1 << i)]
-            for i, c in enumerate(cfg.down_out)
-        ]
-        self.first = [np.full(1 << i, cfg.input_frames >> i) for i in range(cfg.levels)]
-
-    def arrays(self) -> list[np.ndarray]:
-        """Every value a later forward can read: the last window, the
-        links, and each map's valid columns."""
-        live = [m[f:] for maps, first in zip(self.maps, self.first)
-                for m, f in zip(maps, first)]
-        return [self.mel, self.links, *self.first, *live]
+# No plan copies a column left of column 2 of any down level: it copies
+# a level only when its first needed column clears the left zero pad
+# (column 1 at level 0, 2 below), and a needed column is always even,
+# twice a column of the level below or of the up path.
+_COPY_FROM = 2
 
 
 class PhaseMaps:
-    """Every down level's map over one whole frame sequence, once per
-    pooling phase, for the windows that slide over it.
+    """Every down level's map over a frame sequence, for the windows that
+    slide over it.
 
-    Window p of the sequence starts at its frame p.  A window shifted
-    by 2^L frames is shifted by one column at level L, so the windows
-    with p mod 2^L = φ share one level-L map, phase φ, and window p
-    starts at its column p >> L.  Level L, phase φ pools the level L-1
-    map of phase φ mod 2^(L-1) from its column φ >> (L-1).  A forward
-    given at(p) copies each column whose reach lies inside the frames
-    the window shares with the sequence, found by comparing them, and
-    clear of the window's left zero pad; it computes the rest.
+    Window p of the sequence starts at its frame p, and its level-L
+    column j covers frames p + 2^L j .. p + 2^L (j + 1) - 1.  maps[L]
+    holds the column that starts at frame f in row f - base, so windows
+    2^L frames apart share their level-L columns, shifted by one (one
+    pooling phase per residue mod 2^L).  A forward given at(p) copies
+    each column whose reach lies inside the frames the window shares
+    with the sequence, found by comparing them, clear of the window's
+    left zero pad and held here; it computes the rest.
 
-    The maps hold (input_mel * base_channels) values per frame and
-    level, time-major like the engine's.
+    Built over a whole sequence, the maps hold every column.  A stream
+    builds them over no frames: append adds frames and computes nothing,
+    each forward keeps the columns it computed that the next window of
+    its phase copies, and drop forgets what only passed windows read.
+    Phase φ of level L holds the columns at lo[L][φ], lo[L][φ] + 2^L,
+    ... below hi[L][φ].
     """
 
     def __init__(self, engine: UNetEngine, frames: np.ndarray):
         cfg = engine.cfg
-        frames = np.asarray(frames)
-        if frames.ndim != 2 or frames.shape[0] != cfg.input_mel:
-            raise ValueError(f"expected ({cfg.input_mel}, n) frames")
         self.engine = engine
-        # a time-major copy the caller cannot change
-        self.frames = np.array(frames.T, dtype=np.float32, order="C")
-        self.maps: list[list[np.ndarray]] = []
-        x = self.frames[None, :, :, None]
-        for i, ds in enumerate(engine.down):
-            level = []
-            for phase in range(1 << i):
-                if i:
-                    prev = self.maps[i - 1][phase % (1 << (i - 1))]
-                    s = phase >> (i - 1)
-                    n = max((len(prev) - s) // 2, 0)
-                    x = _pool2(prev[None, s : s + 2 * n])
-                wide = ds.widened(x.shape[1])
-                engine._tally_down(wide, wide.w)
-                level.append(wide.run(x)[0])
-            self.maps.append(level)
+        self.base = self.n = 0  # the frame of row 0, the frames appended
+        # rows for the frames and a stream's first windows, before any forward's
+        rows = np.shape(frames)[-1] + cfg.input_frames + (1 << cfg.levels)
+        self.frames = np.empty((rows, cfg.input_mel), dtype=np.float32)
+        self.maps = [np.empty((rows, cfg.input_mel >> i, c), dtype=np.float32)
+                     for i, c in enumerate(cfg.down_out)]
+        self.lo, self.hi = [], []
+        self.append(frames)
+        self._build()
 
-    def at(self, p: int) -> PhaseWindow:
+    def append(self, frames: np.ndarray) -> None:
+        """Add (input_mel, k) frames at the end of the sequence."""
+        frames = np.asarray(frames)
+        if frames.ndim != 2 or frames.shape[0] != self.engine.cfg.input_mel:
+            raise ValueError(f"expected ({self.engine.cfg.input_mel}, n) frames")
+        end = self.n + frames.shape[1] - self.base
+        if end > len(self.frames):  # twice the rows, or enough for the frames
+            old, size = (self.frames, *self.maps), max(end, 2 * len(self.frames))
+            self.frames, *self.maps = [np.empty((size,) + a.shape[1:], np.float32) for a in old]
+            for a, b in zip((self.frames, *self.maps), old):
+                a[: len(b)] = b
+        self.frames[self.n - self.base : end] = frames.T
+        self.n += frames.shape[1]
+
+    def _build(self) -> None:
+        """Every column of every level over the frames, one ds-conv run
+        per pooling phase."""
+        n = self.n
+        x = self.frames[:n, :, None]
+        for i, ds in enumerate(self.engine.down):
+            s = 1 << i
+            if i:
+                n = max(n - (s >> 1), 0)
+                prev = self.maps[i - 1]
+                x = np.maximum(prev[:n], prev[s >> 1 : (s >> 1) + n])
+                x = np.maximum(x[:, 0::2], x[:, 1::2])
+            for ph in range(min(s, n)):
+                wide = ds.widened(len(x[ph::s]))
+                self.engine._tally_down(wide, wide.w)
+                self.maps[i][ph:n:s] = wide.run(x[None, ph::s])[0]
+            self.lo.append(list(range(s)))
+            self.hi.append([n + (ph - n) % s for ph in range(s)])
+
+    def at(self, p: int) -> tuple[PhaseMaps, int]:
         """What a forward over window p, or over a stack of windows
         p, p + 1, ..., takes as its cache."""
-        if p < 0:
-            raise ValueError("window index must be >= 0")
-        return PhaseWindow(self, p)
+        if p < self.base:
+            raise ValueError(f"window index must be >= {self.base}")
+        return self, p
 
+    def drop(self, p: int) -> None:
+        """Forget what only windows before p read.  The rows move a whole
+        window length at a time, at frames that depend on p alone, so
+        pushes of any sizes leave the same maps."""
+        base = p - p % self.engine.cfg.input_frames
+        k = base - self.base
+        if k > 0:
+            for a, end in zip((self.frames, *self.maps), (self.n, *map(max, self.hi))):
+                rows = max(min(end - self.base, len(a)) - k, 0)
+                a[:rows] = a[k : k + rows]
+            self.base = base
 
-class PhaseWindow(NamedTuple):
-    """Window p of a PhaseMaps sequence, the first of a stack of them,
-    as UNetEngine.forward's cache."""
+    def _bounds(self, p: int, b: int, same: int) -> list[int]:
+        """Per level, the leading frames of windows p .. p + b - 1 a plan
+        may copy from: those they share with the sequence, up to the
+        columns every window's phase holds from its column _COPY_FROM."""
+        bounds = []
+        for i, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            held = min((hi[q % (1 << i)] - q) >> i if lo[q % (1 << i)] <= q + (_COPY_FROM << i)
+                       else 0 for q in range(p, p + b))
+            bounds.append(min(same, (held << i) + (2 << i) - 1))
+        return bounds
 
-    maps: PhaseMaps
-    p: int
+    def _keep(self, p: int, plan: list[tuple[int, int]], skips: list[np.ndarray],
+              same: int) -> None:
+        """Hold the columns windows p, p + 1, ... computed inside their
+        first `same` frames that extend their phase's run; an empty
+        phase starts at column _COPY_FROM."""
+        for i, ((need, start), m) in enumerate(zip(plan, skips)):
+            done = (same - (2 << i) + 1) >> i  # the columns whose reach is shared
+            lo, hi = self.lo[i], self.hi[i]
+            for q in range(p, p + len(m)):
+                ph = q % (1 << i)
+                a = _COPY_FROM if lo[ph] == hi[ph] else (hi[ph] - q) >> i
+                if max(start, _COPY_FROM) <= a < done:  # clear of the left pad too
+                    if lo[ph] == hi[ph]:
+                        lo[ph] = q + (a << i)
+                    rows = slice(q - self.base + (a << i), q - self.base + (done << i), 1 << i)
+                    self.maps[i][rows] = m[q - p, a - need : done - need]
+                    hi[ph] = q + (done << i)
 
 
 def _pool2(x: np.ndarray) -> np.ndarray:
@@ -417,8 +440,7 @@ class UNetEngine:
             x = _pool2(x)
         return skips, x
 
-    def _plan(self, up: list[tuple[int, int]], same: list[int],
-              valid: list[int]) -> list[tuple[int, int]]:
+    def _plan(self, up: list[tuple[int, int]], same: list[int]) -> list[tuple[int, int]]:
         """Per down level, from level 0, the columns (need, start) of a
         down path that copies what it can from maps computed before.
 
@@ -428,8 +450,7 @@ class UNetEngine:
         input columns either side of its own 2^L (its reach); it is
         copied when that span lies inside the window's first same[L]
         columns, which the copied map saw too.  A level copies nothing
-        when its first needed column reads the left zero pad or
-        precedes valid[L], the first column its source holds.
+        when its first needed column reads the left zero pad.
         """
         cfg = self.cfg
         need = 2 * max(up[0][0] - 1, 0)
@@ -439,19 +460,31 @@ class UNetEngine:
             reach = (2 << i) - 1
             edge = -(-reach >> i)  # columns whose reach crosses the left pad
             start = need
-            if max(edge, valid[i]) <= need:
+            if edge <= need:
                 start = max(need, (int(same[i]) - reach) >> i)
             plan.append((need, start))
             need = 2 * max(start - 1, 0)
         return plan[::-1]
 
-    def _down_planned(self, x: np.ndarray, plan: list[tuple[int, int]],
-                      up: list[tuple[int, int]], copy) -> tuple[list[np.ndarray], np.ndarray]:
-        """The down path by plan: copy(i, need, start) returns level i's
-        map columns [need, w), of which [need, start) are filled, and the
-        rest are computed.  Every map, the bottom one included, holds
-        only the columns at its right end that something reads; each
-        of those equals that of _down."""
+    def _down_phased(self, x: np.ndarray, at: tuple[PhaseMaps, int],
+                     up: list[tuple[int, int]]) -> tuple[list[np.ndarray], np.ndarray]:
+        """The down path of windows at.p, at.p + 1, ... of a PhaseMaps
+        sequence, one per map of x: window q's level-L column j is the
+        maps' column at frame q + 2^L j.  The block shares one plan, so
+        each window copies what every window of it may copy; the maps
+        then keep the new columns.  Every map, the bottom one included,
+        holds only the columns at its right end that something reads;
+        each of those equals that of _down."""
+        maps, p = at
+        if maps.engine is not self:
+            raise ValueError("phase maps were built by another engine")
+        t = self.cfg.input_frames
+        same = t
+        for q, win in enumerate(x[:, :, :, 0], p):
+            seen = maps.frames[q - maps.base : maps.n - maps.base][:t]
+            differ = np.flatnonzero(np.any(win[: len(seen)] != seen, axis=1))
+            same = min(same, differ[0] if differ.size else len(seen))
+        plan = self._plan(up, maps._bounds(p, len(x), same))
         skips = []
         x0 = 0
         for i, (ds, (need, start)) in enumerate(zip(self.down, plan)):
@@ -459,74 +492,19 @@ class UNetEngine:
                 x0 = max(start - 1, 0)
                 # level i's columns [x0, w) pool the last 2 (w - x0) above
                 x = _pool2(skips[-1][:, -2 * (ds.w - x0) :])
-            m = copy(i, need, start)
+            m = np.empty((len(x), ds.w - need, ds.h, ds.cout), dtype=np.float32)
+            for r, mq in enumerate(m, p - maps.base):
+                mq[: start - need] = maps.maps[i][r + (need << i) : r + (start << i) : 1 << i]
             m[:, start - need :] = ds.run(x, start, x0=x0)
             self._tally_down(ds, len(x) * (ds.w - start))
             skips.append(m)
+        maps._keep(p, plan, skips, same)
         k = max(up[0][0] - 1, 0)
         return skips, _pool2(skips[-1][:, -2 * (self.up[0][0].w - k) :])
 
-    def _down_cached(self, x: np.ndarray, cache: UNetCache,
-                     up: list[tuple[int, int]]) -> tuple[list[np.ndarray], np.ndarray]:
-        """The down path through cache: each level copies what it can
-        from its map 2^L forwards back, shifted by one column."""
-        cfg = self.cfg
-        w = cfg.input_frames
-        if len(x) != 1:
-            raise ValueError("a UNetCache takes one window per forward")
-        differ = np.flatnonzero(np.any(x[0, :-1, :, 0] != cache.mel[1:], axis=1))
-        links = cache.links
-        links[1:] = links[:-1]
-        links[0] = differ[0] if differ.size else w - 1
-        cache.mel[...] = x[0, :, :, 0]
-        # same[j]: leading columns that equal those of the window j + 1
-        # forwards back, shifted left by j + 1
-        same = np.minimum.accumulate(links - np.arange(links.size))
-        plan = self._plan(up, [same[(1 << i) - 1] for i in range(cfg.levels)],
-                          [f[0] - 1 for f in cache.first])
-
-        def copy(i: int, need: int, start: int) -> np.ndarray:
-            maps, first = cache.maps[i], cache.first[i]
-            m = maps.pop(0)
-            m[need:start] = m[need + 1 : start + 1]
-            maps.append(m)
-            first[:-1] = first[1:]
-            first[-1] = need
-            return m[None, need:]
-
-        return self._down_planned(x, plan, up, copy)
-
-    def _down_phased(self, x: np.ndarray, at: PhaseWindow,
-                     up: list[tuple[int, int]]) -> tuple[list[np.ndarray], np.ndarray]:
-        """The down path of windows at.p, at.p + 1, ... of a PhaseMaps
-        sequence, one per map of x: window q copies what it can from
-        the map of phase q mod 2^L, from its column q >> L on.  The
-        block shares one plan, so each window copies the columns that
-        every window of the block may copy."""
-        maps, p = at
-        if maps.engine is not self:
-            raise ValueError("phase maps were built by another engine")
-        t = self.cfg.input_frames
-        same = t
-        for q, win in enumerate(x[:, :, :, 0], p):
-            seen = maps.frames[q : q + t]
-            differ = np.flatnonzero(np.any(win[: len(seen)] != seen, axis=1))
-            same = min(same, differ[0] if differ.size else len(seen))
-        plan = self._plan(up, [same] * self.cfg.levels, [0] * self.cfg.levels)
-
-        def copy(i: int, need: int, start: int) -> np.ndarray:
-            ds = self.down[i]
-            m = np.empty((len(x), ds.w - need, ds.h, ds.cout), dtype=np.float32)
-            for q, mq in enumerate(m, p):
-                off = q >> i
-                mq[: start - need] = maps.maps[i][q % (1 << i)][off + need : off + start]
-            return m
-
-        return self._down_planned(x, plan, up, copy)
-
     def forward(self, mel_input: np.ndarray,
                 cols: tuple[int, int] | None = None,
-                cache: UNetCache | PhaseWindow | None = None) -> np.ndarray:
+                cache: tuple[PhaseMaps, int] | None = None) -> np.ndarray:
         """Mel window (input_mel, input_frames) -> probability map, each
         value sigmoid-activated in (0, 1).  A stack of B windows,
         (B, input_mel, input_frames), gives the B maps stacked, each bit
@@ -539,11 +517,10 @@ class UNetEngine:
         head run on the columns of cfg.up_cols(lo, hi), which hold every
         value those outputs read.
 
-        With a UNetCache, the down path of one window reuses the maps of
-        earlier forwards through that cache and updates it; with
-        PhaseMaps.at(p), windows p, p + 1, ... of a whole frame sequence
-        copy from its maps.  Either way the result is bit for bit that
-        of a forward without one.
+        With PhaseMaps.at(p), windows p, p + 1, ... of a frame sequence
+        copy down-path columns from its maps, which keep the columns
+        they can serve later windows; the result is bit for bit that of
+        a forward without them.
         """
         cfg = self.cfg
         mel_input = np.asarray(mel_input, dtype=np.float64)
@@ -563,10 +540,8 @@ class UNetEngine:
         up = cfg.up_cols(lo, hi)
         if cache is None:
             skips, x = self._down(x)
-        elif isinstance(cache, PhaseWindow):
-            skips, x = self._down_phased(x, cache, up)
         else:
-            skips, x = self._down_cached(x, cache, up)
+            skips, x = self._down_phased(x, cache, up)
         # every down-path map holds the columns at its right end; the
         # up path's maps hold just their cone, from column x0
         x0 = self.up[0][0].w - x.shape[1]

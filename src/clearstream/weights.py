@@ -15,6 +15,8 @@ oversized dim products are rejected before any allocation happens.
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -137,22 +139,35 @@ def save_weights(bundle: WeightBundle, path: str | Path) -> None:
 
 
 class _Reader:
-    """Cursor over a memoryview of the file buffer: take() slices it
-    without copying, so each tensor's only copy is its astype."""
+    """Cursor over a binary file of known size.  Each record is checked
+    against the bytes left before anything is allocated for it, and its
+    values are read straight into their array: no copy of the whole
+    file is held."""
 
-    def __init__(self, buf: bytes):
-        self.buf = memoryview(buf)
-        self.pos = 0
+    def __init__(self, f: io.BufferedIOBase, size: int):
+        self.f, self.size, self.pos = f, size, 0
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.buf):
+    def _advance(self, n: int) -> None:
+        if self.pos + n > self.size:
             raise TruncatedBundleError(
                 f"needed {n} bytes at offset {self.pos}, "
-                f"only {len(self.buf) - self.pos} remain"
+                f"only {self.size - self.pos} remain"
             )
-        out = self.buf[self.pos : self.pos + n]
         self.pos += n
+
+    def take(self, n: int) -> bytes:
+        self._advance(n)
+        out = self.f.read(n)
+        if len(out) != n:  # the file shrank while being read
+            raise TruncatedBundleError(f"file ended before offset {self.pos}")
         return out
+
+    def floats(self, dims: tuple[int, ...], n_elem: int) -> np.ndarray:
+        self._advance(4 * n_elem)
+        out = np.empty(dims, dtype="<f4")
+        if self.f.readinto(memoryview(out).cast("B")) != out.nbytes:
+            raise TruncatedBundleError(f"file ended before offset {self.pos}")
+        return out.astype(np.float32, copy=False)
 
     def u8(self) -> int:
         return self.take(1)[0]
@@ -165,7 +180,10 @@ class _Reader:
 
 
 def parse_weights(buf: bytes) -> WeightBundle:
-    r = _Reader(buf)
+    return _parse(_Reader(io.BytesIO(buf), len(buf)))
+
+
+def _parse(r: _Reader) -> WeightBundle:
     magic = bytes(r.take(4))
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -188,17 +206,17 @@ def parse_weights(buf: bytes) -> WeightBundle:
             raise DimOverflowError(
                 f"tensor {name!r} declares {n_elem} elements (dims {dims})"
             )
-        raw = r.take(4 * n_elem)
-        data = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+        data = r.floats(dims, n_elem)
         if name in bundle.records:
             raise WeightFormatError(f"duplicate tensor name {name!r}")
         bundle.add(name, data)
-    if r.pos != len(buf):
+    if r.pos != r.size:
         raise WeightFormatError(
-            f"{len(buf) - r.pos} trailing bytes after last record"
+            f"{r.size - r.pos} trailing bytes after last record"
         )
     return bundle
 
 
 def load_weights(path: str | Path) -> WeightBundle:
-    return parse_weights(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        return _parse(_Reader(f, os.fstat(f.fileno()).st_size))

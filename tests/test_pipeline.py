@@ -277,9 +277,17 @@ def _push_blocks(stream, x, sizes):
 
 
 def _state(stream):
-    """Every array the stream carries from one push to the next."""
-    return ([stream.mix_win, stream.tcn_win, stream.mix_mel]
-            + stream.tcn_state.bufs + stream.unet_cache.arrays())
+    """Every array the stream carries from one push to the next: of its
+    phase maps, every value a forward of the next window or a later one
+    can read, the frames from that window on and, per level, the held
+    columns of each of the next 2^L windows' phases from that window on."""
+    maps, first = stream.maps, max(stream.packets_seen - stream.cfg.lookahead_cols, 0)
+    held = [maps.frames[first - maps.base : maps.n - maps.base]]
+    for i, (m, lo, hi) in enumerate(zip(maps.maps, maps.lo, maps.hi)):
+        for q in range(first, first + (1 << i)):
+            a, b = max(lo[q % (1 << i)], q), hi[q % (1 << i)]
+            held.append(m[a - maps.base : max(a, b) - maps.base : 1 << i])
+    return [stream.mix_win, stream.tcn_win, stream.mix_mel] + stream.tcn_state.bufs + held
 
 
 @settings(max_examples=15, deadline=None)
@@ -304,12 +312,13 @@ def test_block_push_equals_packet_pushes(small_pipeline, small_pipeline_bundle,
 def test_block_push_default_config(rng, constant_mask_bundle):
     """3 s of signal in one push, on the full-size network.  Seed 6's
     UNet masks every cell, so the all-pass UNet makes a second case
-    whose output is not silence."""
+    whose output is not silence; seeds 1, 3, 4 and 8 mask some cells."""
     cfg = PipelineConfig()
     w = cfg.tcn.packet_len
     n_pkts = -(-3 * 15625 // w)
     x = 0.3 * rng.standard_normal((2, n_pkts * w))
-    for bundle in (random_init(cfg, seed=6), constant_mask_bundle(cfg, 6, 0.0)):
+    for bundle in (random_init(cfg, seed=6), constant_mask_bundle(cfg, 6, 0.0),
+                   *(random_init(cfg, seed=s) for s in (1, 3, 4, 8))):
         single = CbNetStream(bundle, cfg)
         want = _push_blocks(single, x, [1] * n_pkts)
         block = CbNetStream(bundle, cfg)
@@ -317,6 +326,30 @@ def test_block_push_default_config(rng, constant_mask_bundle):
         for a, b in zip(_state(block), _state(single)):
             assert np.array_equal(a, b)
     assert np.any(want != 0.0)
+
+
+@pytest.mark.parametrize("config", ["small", "default"])
+def test_primed_push_computes_few_down_columns(config, small_pipeline, rng):
+    """Once every pooling phase holds its columns, a single-packet push
+    computes per down level only the columns CbNetStream.push derives:
+    its newest copyable column and those that read the zero-padded end
+    frames.  The rest of the UNet work is the mask columns' cone."""
+    cfg = small_pipeline if config == "small" else PipelineConfig()
+    columns = {"small": (5, 4), "default": (4, 4, 4, 4)}[config]
+    u = cfg.unet
+    stream = CbNetStream(random_init(cfg, seed=1), cfg)
+    w = cfg.tcn.packet_len
+    tally = stream.unet_engine.tally
+    per_col = [(u.down_in[i] * 9 + u.down_in[i] * u.down_out[i]) * (u.input_mel >> i)
+               for i in range(u.levels)]
+    full = sum(c * (u.input_frames >> i) for i, c in enumerate(per_col))
+    want = unet_flop_count(u, cfg.mask_cols) - 2 * full + 2 * sum(
+        c * n for c, n in zip(per_col, columns))
+    for n in range(cfg.lookahead_cols + u.input_frames + 3):
+        tally.reset()
+        stream.push(0.3 * rng.standard_normal((2, w)))
+        if n > cfg.lookahead_cols + (1 << u.levels):
+            assert 2 * tally.total() == want, n
 
 
 def test_enhance_signal_equals_packet_pushes(small_pipeline, small_pipeline_bundle,
@@ -500,15 +533,19 @@ def test_enhance_deterministic(small_pipeline, small_pipeline_bundle, rng):
 
 @pytest.fixture()
 def unet_calls(monkeypatch):
-    """Every UNetEngine.forward call made through a cache, as (engine,
-    mel, cols, probs)."""
+    """Every window of every UNetEngine.forward call made through phase
+    maps, as (engine, mel, cols, probs); a stack of windows gives one
+    entry per window."""
     calls = []
     real = UNetEngine.forward
 
     def record(self, mel, cols=None, cache=None):
         probs = real(self, mel, cols, cache=cache)
         if cache is not None:
-            calls.append((self, mel.copy(), cols, probs))
+            shape = mel.shape[-2:]
+            calls.extend((self, m.copy(), cols, pr) for m, pr in
+                         zip(np.reshape(mel, (-1,) + shape),
+                             np.reshape(probs, (-1,) + probs.shape[-2:])))
         return probs
 
     monkeypatch.setattr(UNetEngine, "forward", record)
@@ -518,9 +555,10 @@ def unet_calls(monkeypatch):
 @pytest.mark.parametrize("config", ["small", "default"])
 def test_stream_unet_cache_equals_cache_free_forward(config, small_pipeline, rng,
                                                      unet_calls):
-    """Every mask the stream computes through its UNet cache, over
-    single and block pushes, equals a forward without the cache.  The
-    weight seeds give masks that hold both 0s and 1s."""
+    """Every mask the stream computes through its phase maps, over
+    single and block pushes, equals a forward without the maps, window
+    by window of each stack.  The weight seeds give masks that hold
+    both 0s and 1s."""
     cfg, seed = (small_pipeline, 42) if config == "small" else (PipelineConfig(), 1)
     stream = CbNetStream(random_init(cfg, seed=seed), cfg)
     w = cfg.tcn.packet_len

@@ -254,6 +254,28 @@ def test_two_states_identical_outputs(small_tcn, rng):
         assert np.array_equal(a, b)
 
 
+def test_collected_engine_block_is_reused(small_tcn, rng):
+    """An engine fills in place the pointwise block of an engine that was
+    collected, never one a live view still reads, and computes what an
+    engine with a block of its own computes."""
+    x = rng.standard_normal((2, small_tcn.min_input_samples + 3 * small_tcn.frame_len))
+    bundle = random_init(small_tcn, seed=23)
+    addr = lambda e: e.layers[0][1].__array_interface__["data"][0]
+    first = TcnEngine(random_init(small_tcn, seed=22), small_tcn)
+    first_addr = addr(first)
+    del first
+    reused = TcnEngine(bundle, small_tcn)
+    assert addr(reused) == first_addr
+    own = TcnEngine(bundle, small_tcn)
+    assert addr(own) != first_addr
+    assert np.array_equal(reused.full_forward(x), own.full_forward(x))
+    view = reused.layers[0][1]
+    kept = view.copy()
+    del reused, own
+    assert not np.shares_memory(TcnEngine(bundle, small_tcn).layers[0][1], view)
+    assert np.array_equal(view, kept)
+
+
 def test_buffer_footprint_matches_allocation(small_tcn):
     # the analytic count must equal what a live state actually allocates,
     # and the per-stage sizes must be derivable by hand: one packet of

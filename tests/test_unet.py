@@ -10,7 +10,6 @@ from clearstream.metrics import oracle_mask
 from clearstream.pipeline import PipelineConfig
 from clearstream.unet import (
     PhaseMaps,
-    UNetCache,
     UNetConfig,
     UNetEngine,
     threshold_mask,
@@ -227,9 +226,6 @@ def test_input_validation(small_unet):
         engine.forward(np.zeros((small_unet.input_mel, small_unet.input_frames + 1)))
     with pytest.raises(ValueError, match="expected"):
         engine.forward(np.zeros((1, 1, small_unet.input_mel, small_unet.input_frames)))
-    with pytest.raises(ValueError, match="one window"):
-        engine.forward(np.zeros((2, small_unet.input_mel, small_unet.input_frames)),
-                       cache=UNetCache(small_unet))
     bad = np.zeros((small_unet.input_mel, small_unet.input_frames))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
@@ -283,82 +279,6 @@ def mixed_engines():
 
 
 @pytest.mark.parametrize("config", sorted(_CACHE_CASES))
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_cache_is_bit_identical_to_cache_free(config, mixed_engines, data):
-    """Over any sequence of windows and column ranges, a forward through
-    a cache equals a forward without one.  The windows mostly move one
-    column and redraw up to 4 columns at the right end, as the stream's
-    do; some jump several columns, are redrawn whole or repeat."""
-    engines = mixed_engines[config]
-    engine = engines[data.draw(st.integers(0, len(engines) - 1))]
-    cfg = engine.cfg
-    w = cfg.input_frames
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    cache = UNetCache(cfg)
-    mel = _window(cfg, rng)
-    cols = (w - 5, w - 2)
-    kinds = ["shift"] * 6 + ["jump", "random", "repeat", "cols"]
-    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=40)):
-        if kind in ("shift", "jump"):
-            step = 1 if kind == "shift" else data.draw(st.integers(2, 9))
-            mel = np.concatenate([mel[:, step:], _window(cfg, rng, step)], axis=1)
-            tail = data.draw(st.integers(0, 4))
-            if tail:
-                mel[:, w - tail :] = _window(cfg, rng, tail)
-        elif kind == "random":
-            mel = _window(cfg, rng)
-        elif kind == "cols":
-            lo = data.draw(st.integers(0, w - 1))
-            cols = data.draw(st.sampled_from([None, (lo, data.draw(st.integers(lo + 1, w)))]))
-        got = engine.forward(mel, cols, cache=cache)
-        assert np.array_equal(got, engine.forward(mel, cols)), kind
-
-
-def test_cache_recomputes_four_columns_per_level(mixed_engines):
-    """Once primed by 2^(levels-1) one-column shifts, a default-config
-    forward over the stream's mask columns computes only 4 columns of
-    each down level: the one the newest frame completes and the 3 that
-    read the redrawn frames or the zero pad."""
-    engine = mixed_engines["default"][0]
-    cfg = engine.cfg
-    pipe = PipelineConfig()
-    rng = np.random.default_rng(6)
-    cache = UNetCache(cfg)
-    signal = _window(cfg, rng, 100)
-    for n in range(20):
-        mel = signal[:, n : n + cfg.input_frames].copy()
-        mel[:, -2:] = _window(cfg, rng, 2)  # the zero-padded tail frames
-        engine.tally.reset()
-        engine.forward(mel, pipe.mask_cols, cache=cache)
-
-    def down_macs(cols):
-        return sum((cfg.down_in[i] * 9 + cfg.down_in[i] * cfg.down_out[i])
-                   * (cfg.input_mel >> i) * cols(i) for i in range(cfg.levels))
-
-    full = down_macs(lambda i: cfg.input_frames >> i)
-    want = unet_flop_count(cfg, pipe.mask_cols) - 2 * full + 2 * down_macs(lambda i: 4)
-    assert 2 * engine.tally.total() == want
-
-
-def test_cache_serves_every_column_of_a_shifting_window(mixed_engines):
-    """A primed cache asked, window by window, for each single column in
-    turn: for the columns left of the stream's, the up path reads map
-    columns the down path's own recomputed range does not reach."""
-    engine = mixed_engines["default"][1]
-    cfg = engine.cfg
-    w = cfg.input_frames
-    rng = np.random.default_rng(8)
-    cache = UNetCache(cfg)
-    signal = _window(cfg, rng, 2 * w + 10)
-    for n in range(w + 10):
-        mel = signal[:, n : n + w]
-        cols = (w - 5, w - 2) if n < 10 else (n - 10, n - 9)
-        assert np.array_equal(engine.forward(mel, cols, cache=cache),
-                              engine.forward(mel, cols)), cols
-
-
-@pytest.mark.parametrize("config", sorted(_CACHE_CASES))
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_phase_maps_are_bit_identical_to_cache_free(config, mixed_engines, data):
@@ -405,6 +325,60 @@ def test_phase_maps_are_bit_identical_to_cache_free(config, mixed_engines, data)
         assert len(got) == len(mel)
         for j, m in enumerate(mel):
             assert np.array_equal(got[j], engine.forward(m, cols)), (kind, p, j, at)
+
+
+@pytest.mark.parametrize("config", sorted(_CACHE_CASES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_phase_maps_extended_in_chunks_equal_built_once(config, mixed_engines, data):
+    """PhaseMaps built over no frames that grow as a stream's do, frames
+    appended block by block, blocks of any sizes forwarded through
+    them and the passed windows dropped, hold on every kept column
+    exactly what PhaseMaps built once over all the frames hold.  Each
+    window takes its first `whole` frames from the sequence and redraws
+    the rest; some blocks alter a shared frame of one window, which the
+    maps must not keep.  Every forward equals one without maps, over the
+    stream's mask columns, every column, or a range or single column
+    anywhere, whose cone may read map columns left of the stream's."""
+    engines = mixed_engines[config]
+    engine = engines[data.draw(st.integers(0, len(engines) - 1))]
+    cfg = engine.cfg
+    w = cfg.input_frames
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    whole = data.draw(st.integers(4, w))
+    n_win = data.draw(st.integers(1, w + (2 << cfg.levels)))
+    frames = _window(cfg, rng, n_win - 1 + whole)
+    built = PhaseMaps(engine, frames)
+    maps = PhaseMaps(engine, frames[:, :0])
+    lo = data.draw(st.integers(0, w - 1))
+    cols = data.draw(st.sampled_from([(w - 5, w - 2), (w - 5, w - 2), None, (lo, w),
+                                      (lo, lo + 1)]))
+    p, altered = 0, False
+    while p < n_win:
+        b = data.draw(st.integers(1, min(2 * w, n_win - p)))
+        maps.append(frames[:, maps.n : p + b - 1 + whole])
+        mel = np.stack([_window(cfg, rng) for _ in range(b)])
+        for j, m in enumerate(mel):
+            m[:, :whole] = frames[:, p + j : p + j + whole]
+        if data.draw(st.integers(0, 4)) == 0:
+            mel[data.draw(st.integers(0, b - 1)), :, data.draw(st.integers(0, whole - 1))] += 1.0
+            altered = True
+        got = engine.forward(mel, cols, cache=maps.at(p))
+        for j, m in enumerate(mel):
+            assert np.array_equal(got[j], engine.forward(m, cols)), (p, j)
+        p += b
+        maps.drop(p)
+    kept = 0
+    for i in range(cfg.levels):
+        for ph in range(1 << i):
+            first, end = int(maps.lo[i][ph]), int(maps.hi[i][ph])
+            first += max(-(-(maps.base - first) >> i), 0) << i  # the first not dropped
+            for f in range(first, end, 1 << i):
+                assert np.array_equal(maps.maps[i][f - maps.base], built.maps[i][f]), (i, f)
+                kept += 1
+    # windows over the stream's mask columns compute column _COPY_FROM
+    assert kept > 0 or altered or cols != (w - 5, w - 2)
+    assert maps.n == len(frames.T) and maps.base == p - p % w
 
 
 def test_phase_maps_compare_every_window_of_a_block(mixed_engines):

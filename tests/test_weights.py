@@ -139,6 +139,33 @@ def test_truncated_stream():
         parse_weights(raw[:9])
 
 
+def test_load_weights_rejects_what_parse_weights_rejects(tmp_path):
+    """load_weights reads the file record by record: a damaged file raises
+    the typed error its bytes raise in parse_weights, and a record that
+    claims more values than the file holds is refused before any array
+    is allocated for it."""
+    b = WeightBundle()
+    b.add("w", np.ones((4, 4), dtype=np.float32))
+    raw = dump_weights(b)
+    claims_1gb = (MAGIC + struct.pack("<I", 1) + struct.pack("<H", 1) + b"w"
+                  + struct.pack("<BII", 2, 1 << 14, 1 << 14))
+    cases = [
+        (b"", TruncatedBundleError),
+        (raw[:-7], TruncatedBundleError),
+        (raw[:9], TruncatedBundleError),
+        (claims_1gb, TruncatedBundleError),
+        (raw + b"\x00", WeightFormatError),
+        (b"NOPE" + raw[4:], BadMagicError),
+    ]
+    for i, (blob, error) in enumerate(cases):
+        path = tmp_path / f"{i}.cbw"
+        path.write_bytes(blob)
+        with pytest.raises(error):
+            parse_weights(blob)
+        with pytest.raises(error):
+            load_weights(path)
+
+
 def test_trailing_garbage_rejected():
     raw = dump_weights(WeightBundle()) + b"\x00"
     with pytest.raises(WeightFormatError, match="trailing"):
