@@ -307,8 +307,9 @@ def _enhance_block(cfg: PipelineConfig, unet: UNetEngine, comb: _Combiner, cache
     mix_wins and tcn_wins are the (B, n) mixture and TCN-output windows,
     and first the first window's inside frames but its newest (see
     _Combiner.unet_input).  cache is PhaseMaps.at of the first window,
-    whose maps are given the inside frames they lack, or None.  Each
-    window of the stack comes out bit-identical to a call of its own.
+    whose maps are given (and so compute the columns of) the inside
+    frames they lack, or None.  Each window of the stack comes out
+    bit-identical to a call of its own.
     """
     whole = cfg.unet.input_frames - cfg.cover_frames + 1
     mel = comb.unet_input(mix_wins, first)
@@ -354,19 +355,20 @@ class CbNetStream:
         magnitude are replaced by 0 (see _sanitise) before any state
         changes, and counted in samples_sanitised.  The TCN then runs
         once over the whole block, and the packets' windows go through
-        _enhance_block in blocks of _ORACLE_BLOCK (a stream's first ones
-        alone).  A window reads only its own frames and map columns equal
-        to its own, so the output is bit-identical to single pushes.
+        _enhance_block in blocks of _ORACLE_BLOCK.  A window reads only
+        its own frames and map columns equal to its own, and the maps
+        depend only on the frames appended, so the output is
+        bit-identical to single pushes.
 
-        Down-path work of a primed one-packet push: of whole = T -
-        cover_frames + 1 inside frames, a level-L column j reads frames
-        up to 2^L (j + 1) + 2^(L+1) - 2, so only j < J_L = (whole -
-        2^(L+1) + 1) >> L can be copied.  The window 2^L packets back,
-        of the same phase, kept its columns up to its J_L - 1, this
-        window's J_L - 2.  So the push computes columns J_L - 1 .. w_L - 1
-        of each level (w_L = T / 2^L), keeping J_L - 1: 4 per level at
-        the default config (T = 64, whole = 62), 5 and 4 at T = 16,
-        whole = 13 and two levels.
+        Down-path work: window q's whole = T - cover_frames + 1 inside
+        frames are frames q .. q + whole - 1 of the maps' sequence, so
+        the maps then hold n >= q + whole frames.  A level-L column at
+        frame f reads frames up to f + 3 2^L - 2, so they hold every
+        column below done[L] = n - 3 2^L + 2, each frame completing one
+        per level.  The window copies its column j (frame q + 2^L j) if
+        it reads inside frames only, j < (whole - 2^(L+1) + 1) >> L, so
+        below done[L], and computes the rest: 3 per level at the default
+        config (T = 64, whole = 62), 4 and 3 at T = 16, whole = 13.
 
         The emitted samples cover the input `lookahead` samples back; the
         first lookahead/W packets of a cold stream are the pre-stream
@@ -400,9 +402,7 @@ class CbNetStream:
             mel = self.comb.unet_input(mix_wins[:cold], self.mix_mel[:, 1:whole])
         out, a = np.zeros(k * w), cold
         while a < k:
-            # until each phase of the deepest level has had a window, windows
-            # go alone: stacked, none could copy what the others keep
-            b = min(a + (_ORACLE_BLOCK if q0 + a >= 1 << (cfg.unet.levels - 1) else 1), k)
+            b = min(a + _ORACLE_BLOCK, k)
             cache = None if self.maps is None else self.maps.at(q0 + a)
             pkts, mel = _enhance_block(cfg, self.unet_engine, self.comb, cache,
                                        mel[-1][:, 1:whole], mix_wins[a:b],
@@ -414,7 +414,7 @@ class CbNetStream:
         for r, a in zip(self.wins, adv):
             r[:nwin] = r[a : a + nwin]
         self.mix_win, self.tcn_win = self.wins[:, :nwin]
-        self.mix_mel = mel[-1]
+        self.mix_mel[...] = mel[-1]
         return out
 
 

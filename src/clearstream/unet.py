@@ -22,13 +22,13 @@ between forwards; that forward is the reference the reusing one is
 tested against.  A window shifted by one column is shifted by 2^-L
 columns at level L, so windows 2^L columns apart share level L's
 pooling phase.  PhaseMaps holds each level's columns over a frame
-sequence, every phase at once: the batch oracle builds them over the
-whole mixture, and a stream grows them window by window.  A window
-copies its columns from there and recomputes only those that read its
-zero-padded end frames or its left zero pad, or that the maps do not
-hold yet.  Reuse is decided by comparing the window with the frames
-the maps saw, so the output is bit-identical to a forward without them
-for any call sequence.
+sequence, every phase at once, and computes each column once, when the
+frames it reads have arrived: the batch oracle appends the whole
+mixture's frames, and a stream each push's.  A window copies its
+columns from there and recomputes only those that read its
+zero-padded end frames or its left zero pad.  Reuse is decided by
+comparing the window with the frames the maps saw, so the output is
+bit-identical to a forward without them for any call sequence.
 
 A forward also takes a stack of B windows, and each stage then runs
 once over all of them on a leading axis: the oracle and the stream
@@ -52,6 +52,7 @@ core; inputs and the returned probability map stay float64.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,13 +167,6 @@ class UNetTally:
         self.dw = self.pw = self.tc = 0
 
 
-# No plan copies a column left of column 2 of any down level: it copies
-# a level only when its first needed column clears the left zero pad
-# (column 1 at level 0, 2 below), and a needed column is always even,
-# twice a column of the level below or of the up path.
-_COPY_FROM = 2
-
-
 class PhaseMaps:
     """Every down level's map over a frame sequence, for the windows that
     slide over it.
@@ -181,17 +175,15 @@ class PhaseMaps:
     column j covers frames p + 2^L j .. p + 2^L (j + 1) - 1.  maps[L]
     holds the column that starts at frame f in row f - base, so windows
     2^L frames apart share their level-L columns, shifted by one (one
-    pooling phase per residue mod 2^L).  A forward given at(p) copies
-    each column whose reach lies inside the frames the window shares
-    with the sequence, found by comparing them, clear of the window's
-    left zero pad and held here; it computes the rest.
+    pooling phase per residue mod 2^L).  That column reads frames
+    f - 2^(L+1) + 1 .. f + 3 2^L - 2, zeros left of frame 0.
 
-    Built over a whole sequence, the maps hold every column.  A stream
-    builds them over no frames: append adds frames and computes nothing,
-    each forward keeps the columns it computed that the next window of
-    its phase copies, and drop forgets what only passed windows read.
-    Phase φ of level L holds the columns at lo[L][φ], lo[L][φ] + 2^L,
-    ... below hi[L][φ].
+    append computes each column once, when the last frame it reads
+    arrives: after n frames level L holds the columns at frames below
+    done[L] = n - 3 2^L + 2.  A forward given at(p) copies each column
+    whose reach lies inside the frames the window shares with the
+    sequence, found by comparing them, and clear of the window's left
+    zero pad; such a column is below done[L].  It computes the rest.
     """
 
     def __init__(self, engine: UNetEngine, frames: np.ndarray):
@@ -203,12 +195,19 @@ class PhaseMaps:
         self.frames = np.empty((rows, cfg.input_mel), dtype=np.float32)
         self.maps = [np.empty((rows, cfg.input_mel >> i, c), dtype=np.float32)
                      for i, c in enumerate(cfg.down_out)]
-        self.lo, self.hi = [], []
+        # each level's conv at a width no sequence reaches: it pads only left of frame 0
+        self.convs = [ds.widened(sys.maxsize) for ds in engine.down]
         self.append(frames)
-        self._build()
+
+    @property
+    def done(self) -> list[int]:
+        """Per level, the frame below which every column is held."""
+        return [max(self.n - (3 << i) + 2, 0) for i in range(len(self.maps))]
 
     def append(self, frames: np.ndarray) -> None:
-        """Add (input_mel, k) frames at the end of the sequence."""
+        """Add (input_mel, k) frames at the end of the sequence, and
+        compute the columns they complete: per level, one ds-conv run
+        per pooling phase that has new columns."""
         frames = np.asarray(frames)
         if frames.ndim != 2 or frames.shape[0] != self.engine.cfg.input_mel:
             raise ValueError(f"expected ({self.engine.cfg.input_mel}, n) frames")
@@ -219,26 +218,24 @@ class PhaseMaps:
             for a, b in zip((self.frames, *self.maps), old):
                 a[: len(b)] = b
         self.frames[self.n - self.base : end] = frames.T
+        old = self.done
         self.n += frames.shape[1]
-
-    def _build(self) -> None:
-        """Every column of every level over the frames, one ds-conv run
-        per pooling phase."""
-        n = self.n
-        x = self.frames[:n, :, None]
-        for i, ds in enumerate(self.engine.down):
+        for i, (ds, d0, d1) in enumerate(zip(self.convs, old, self.done)):
             s = 1 << i
-            if i:
-                n = max(n - (s >> 1), 0)
-                prev = self.maps[i - 1]
-                x = np.maximum(prev[:n], prev[s >> 1 : (s >> 1) + n])
-                x = np.maximum(x[:, 0::2], x[:, 1::2])
-            for ph in range(min(s, n)):
-                wide = ds.widened(len(x[ph::s]))
-                self.engine._tally_down(wide, wide.w)
-                self.maps[i][ph:n:s] = wide.run(x[None, ph::s])[0]
-            self.lo.append(list(range(s)))
-            self.hi.append([n + (ph - n) % s for ph in range(s)])
+            for f in range(d0, min(d0 + s, d1)):  # each phase's first new column
+                a, m = f >> i, ((d1 - 1 - f) >> i) + 1  # its first column, their count
+                # their input columns a - 1 .. a + m, from frame g
+                g = max(f - s, f % s) - self.base
+                rows = slice(g, f + (m << i) + 1 - self.base, s)
+                if i:  # pool level i - 1's columns at g and g + 2^(i-1)
+                    prev, h = self.maps[i - 1], s >> 1
+                    x = np.maximum(prev[rows], prev[g + h : rows.stop + h : s])
+                    x = np.maximum(x[:, 0::2], x[:, 1::2])
+                else:
+                    x = self.frames[rows, :, None]
+                self.engine._tally_down(ds, m)
+                self.maps[i][f - self.base : d1 - self.base : s] = ds.run(
+                    x[None], a, a + m, x0=max(a - 1, 0))[0]
 
     def at(self, p: int) -> tuple[PhaseMaps, int]:
         """What a forward over window p, or over a stack of windows
@@ -248,45 +245,18 @@ class PhaseMaps:
         return self, p
 
     def drop(self, p: int) -> None:
-        """Forget what only windows before p read.  The rows move a whole
-        window length at a time, at frames that depend on p alone, so
-        pushes of any sizes leave the same maps."""
-        base = p - p % self.engine.cfg.input_frames
+        """Forget what neither windows from p on nor the next append read,
+        the rows below the least of p, done[0] - 1 (frames) and done[L] -
+        2^L (level L - 1).  The rows move a whole window length at a time."""
+        done = self.done
+        low = min(p, done[0] - 1, *(d - (1 << i) for i, d in enumerate(done[1:], 1)))
+        base = low - low % self.engine.cfg.input_frames
         k = base - self.base
         if k > 0:
-            for a, end in zip((self.frames, *self.maps), (self.n, *map(max, self.hi))):
-                rows = max(min(end - self.base, len(a)) - k, 0)
+            for a, end in zip((self.frames, *self.maps), (self.n, *done)):
+                rows = max(end - base, 0)
                 a[:rows] = a[k : k + rows]
             self.base = base
-
-    def _bounds(self, p: int, b: int, same: int) -> list[int]:
-        """Per level, the leading frames of windows p .. p + b - 1 a plan
-        may copy from: those they share with the sequence, up to the
-        columns every window's phase holds from its column _COPY_FROM."""
-        bounds = []
-        for i, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            held = min((hi[q % (1 << i)] - q) >> i if lo[q % (1 << i)] <= q + (_COPY_FROM << i)
-                       else 0 for q in range(p, p + b))
-            bounds.append(min(same, (held << i) + (2 << i) - 1))
-        return bounds
-
-    def _keep(self, p: int, plan: list[tuple[int, int]], skips: list[np.ndarray],
-              same: int) -> None:
-        """Hold the columns windows p, p + 1, ... computed inside their
-        first `same` frames that extend their phase's run; an empty
-        phase starts at column _COPY_FROM."""
-        for i, ((need, start), m) in enumerate(zip(plan, skips)):
-            done = (same - (2 << i) + 1) >> i  # the columns whose reach is shared
-            lo, hi = self.lo[i], self.hi[i]
-            for q in range(p, p + len(m)):
-                ph = q % (1 << i)
-                a = _COPY_FROM if lo[ph] == hi[ph] else (hi[ph] - q) >> i
-                if max(start, _COPY_FROM) <= a < done:  # clear of the left pad too
-                    if lo[ph] == hi[ph]:
-                        lo[ph] = q + (a << i)
-                    rows = slice(q - self.base + (a << i), q - self.base + (done << i), 1 << i)
-                    self.maps[i][rows] = m[q - p, a - need : done - need]
-                    hi[ph] = q + (done << i)
 
 
 def _pool2(x: np.ndarray) -> np.ndarray:
@@ -440,7 +410,7 @@ class UNetEngine:
             x = _pool2(x)
         return skips, x
 
-    def _plan(self, up: list[tuple[int, int]], same: list[int]) -> list[tuple[int, int]]:
+    def _plan(self, up: list[tuple[int, int]], same: int) -> list[tuple[int, int]]:
         """Per down level, from level 0, the columns (need, start) of a
         down path that copies what it can from maps computed before.
 
@@ -448,7 +418,7 @@ class UNetEngine:
         the level below reads; columns [need, start) are copied and
         [start, w) computed.  A level-L column reads the 2^(L+1) - 1
         input columns either side of its own 2^L (its reach); it is
-        copied when that span lies inside the window's first same[L]
+        copied when that span lies inside the window's first `same`
         columns, which the copied map saw too.  A level copies nothing
         when its first needed column reads the left zero pad.
         """
@@ -461,7 +431,7 @@ class UNetEngine:
             edge = -(-reach >> i)  # columns whose reach crosses the left pad
             start = need
             if edge <= need:
-                start = max(need, (int(same[i]) - reach) >> i)
+                start = max(need, (same - reach) >> i)
             plan.append((need, start))
             need = 2 * max(start - 1, 0)
         return plan[::-1]
@@ -471,10 +441,9 @@ class UNetEngine:
         """The down path of windows at.p, at.p + 1, ... of a PhaseMaps
         sequence, one per map of x: window q's level-L column j is the
         maps' column at frame q + 2^L j.  The block shares one plan, so
-        each window copies what every window of it may copy; the maps
-        then keep the new columns.  Every map, the bottom one included,
-        holds only the columns at its right end that something reads;
-        each of those equals that of _down."""
+        each window copies what every window of it may copy.  Every map,
+        the bottom one included, holds only the columns at its right end
+        that something reads; each of those equals that of _down."""
         maps, p = at
         if maps.engine is not self:
             raise ValueError("phase maps were built by another engine")
@@ -484,7 +453,7 @@ class UNetEngine:
             seen = maps.frames[q - maps.base : maps.n - maps.base][:t]
             differ = np.flatnonzero(np.any(win[: len(seen)] != seen, axis=1))
             same = min(same, differ[0] if differ.size else len(seen))
-        plan = self._plan(up, maps._bounds(p, len(x), same))
+        plan = self._plan(up, int(same))
         skips = []
         x0 = 0
         for i, (ds, (need, start)) in enumerate(zip(self.down, plan)):
@@ -498,7 +467,6 @@ class UNetEngine:
             m[:, start - need :] = ds.run(x, start, x0=x0)
             self._tally_down(ds, len(x) * (ds.w - start))
             skips.append(m)
-        maps._keep(p, plan, skips, same)
         k = max(up[0][0] - 1, 0)
         return skips, _pool2(skips[-1][:, -2 * (self.up[0][0].w - k) :])
 
@@ -518,9 +486,8 @@ class UNetEngine:
         value those outputs read.
 
         With PhaseMaps.at(p), windows p, p + 1, ... of a frame sequence
-        copy down-path columns from its maps, which keep the columns
-        they can serve later windows; the result is bit for bit that of
-        a forward without them.
+        copy down-path columns from its maps; the result is bit for bit
+        that of a forward without them.
         """
         cfg = self.cfg
         mel_input = np.asarray(mel_input, dtype=np.float64)

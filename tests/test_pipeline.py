@@ -59,7 +59,7 @@ def test_stream_matches_oracle_default_config(rng, monkeypatch):
         probs.clear()
         streamed = enhance_signal(x, bundle, cfg)
         oracle = enhance_signal(x, bundle, cfg, oracle=True)
-        # the stream's maps come one window at a time, the oracle's in blocks
+        # both paths forward stacks of windows; one row per window
         masks = threshold_mask(np.concatenate([pr.reshape(-1, pr.shape[-1]) for pr in probs]))
         assert np.min(masks) == 0.0 and np.max(masks) == 1.0, seed
         assert np.any(oracle != 0.0), seed
@@ -69,14 +69,17 @@ def test_stream_matches_oracle_default_config(rng, monkeypatch):
 @pytest.mark.parametrize("config", ["small", "default"])
 def test_incremental_mel_equals_recompute(config, small_pipeline, rng):
     """The stream updates only the newest mel columns per push; the
-    window it holds must equal a from-scratch mel of its mixture window."""
+    window it holds must equal a from-scratch mel of its mixture window.
+    After a block push it owns that window's mel, not a view that keeps
+    the block's mels alive."""
     cfg = small_pipeline if config == "small" else PipelineConfig()
     stream = CbNetStream(random_init(cfg, seed=3), cfg)
     w = cfg.tcn.packet_len
-    for _ in range(cfg.unet.input_frames + 6):
-        stream.push(0.3 * rng.standard_normal((2, w)))
+    for k in [1] * (cfg.unet.input_frames + 6) + [16]:
+        stream.push(0.3 * rng.standard_normal((2, k * w)))
         want = stream.comb.unet_input(stream.mix_win)
         assert np.array_equal(stream.mix_mel, want)
+    assert stream.mix_mel.flags.owndata
 
 
 @pytest.mark.parametrize("config", ["small", "default"])
@@ -233,20 +236,21 @@ def test_zeros_mask_gives_silence(small_pipeline, constant_mask_bundle, rng):
 
 @pytest.fixture()
 def stage_calls(monkeypatch):
-    """Counts of UNetEngine.forward and _Combiner.combine calls."""
+    """Windows through UNetEngine.forward and _Combiner.combine: one per
+    window of a stack."""
     calls = {"forward": 0, "combine": 0}
 
-    def count(cls, name):
+    def count(cls, name, ndim):
         real = getattr(cls, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+        def wrapper(self, x, *args, **kwargs):
+            calls[name] += len(x) if np.ndim(x) > ndim else 1
+            return real(self, x, *args, **kwargs)
 
         monkeypatch.setattr(cls, name, wrapper)
 
-    count(UNetEngine, "forward")
-    count(_Combiner, "combine")
+    count(UNetEngine, "forward", 2)
+    count(_Combiner, "combine", 1)
     return calls
 
 
@@ -278,15 +282,12 @@ def _push_blocks(stream, x, sizes):
 
 def _state(stream):
     """Every array the stream carries from one push to the next: of its
-    phase maps, every value a forward of the next window or a later one
-    can read, the frames from that window on and, per level, the held
-    columns of each of the next 2^L windows' phases from that window on."""
+    phase maps, the frames from the next window on, done relative to
+    that window, and every held column from that window up to done[L]."""
     maps, first = stream.maps, max(stream.packets_seen - stream.cfg.lookahead_cols, 0)
-    held = [maps.frames[first - maps.base : maps.n - maps.base]]
-    for i, (m, lo, hi) in enumerate(zip(maps.maps, maps.lo, maps.hi)):
-        for q in range(first, first + (1 << i)):
-            a, b = max(lo[q % (1 << i)], q), hi[q % (1 << i)]
-            held.append(m[a - maps.base : max(a, b) - maps.base : 1 << i])
+    held = [maps.frames[first - maps.base : maps.n - maps.base],
+            np.subtract(maps.done, first)]
+    held += [m[first - maps.base : max(d - maps.base, 0)] for m, d in zip(maps.maps, maps.done)]
     return [stream.mix_win, stream.tcn_win, stream.mix_mel] + stream.tcn_state.bufs + held
 
 
@@ -330,10 +331,12 @@ def test_block_push_default_config(rng, constant_mask_bundle):
 
 @pytest.mark.parametrize("config", ["small", "default"])
 def test_primed_push_computes_few_down_columns(config, small_pipeline, rng):
-    """Once every pooling phase holds its columns, a single-packet push
-    computes per down level only the columns CbNetStream.push derives:
-    its newest copyable column and those that read the zero-padded end
-    frames.  The rest of the UNet work is the mask columns' cone."""
+    """On a primed stream, each packet of a k-packet push computes per
+    down level only the columns CbNetStream.push derives: the append
+    computes the 1 its frame completes, and the forward the 3 (default
+    config) that read the zero-padded end frames.  The rest of the UNet
+    work is the mask columns' cone, so a k-packet push does k times a
+    single push's work."""
     cfg = small_pipeline if config == "small" else PipelineConfig()
     columns = {"small": (5, 4), "default": (4, 4, 4, 4)}[config]
     u = cfg.unet
@@ -350,6 +353,10 @@ def test_primed_push_computes_few_down_columns(config, small_pipeline, rng):
         stream.push(0.3 * rng.standard_normal((2, w)))
         if n > cfg.lookahead_cols + (1 << u.levels):
             assert 2 * tally.total() == want, n
+    for k in (1, 5, 16, 33):
+        tally.reset()
+        stream.push(0.3 * rng.standard_normal((2, k * w)))
+        assert 2 * tally.total() == k * want, k
 
 
 def test_enhance_signal_equals_packet_pushes(small_pipeline, small_pipeline_bundle,

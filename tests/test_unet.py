@@ -333,11 +333,12 @@ def test_phase_maps_are_bit_identical_to_cache_free(config, mixed_engines, data)
 def test_phase_maps_extended_in_chunks_equal_built_once(config, mixed_engines, data):
     """PhaseMaps built over no frames that grow as a stream's do, frames
     appended block by block, blocks of any sizes forwarded through
-    them and the passed windows dropped, hold on every kept column
-    exactly what PhaseMaps built once over all the frames hold.  Each
-    window takes its first `whole` frames from the sequence and redraws
-    the rest; some blocks alter a shared frame of one window, which the
-    maps must not keep.  Every forward equals one without maps, over the
+    them and the passed windows dropped, hold on every column below
+    done[L] that is not dropped exactly what PhaseMaps built once over
+    all the frames hold.  Each window takes its first `whole` frames
+    from the sequence and redraws the rest; some blocks alter a shared
+    frame of one window, which must then not copy the columns that read
+    it.  Every forward equals one without maps, over the
     stream's mask columns, every column, or a range or single column
     anywhere, whose cone may read map columns left of the stream's."""
     engines = mixed_engines[config]
@@ -353,7 +354,7 @@ def test_phase_maps_extended_in_chunks_equal_built_once(config, mixed_engines, d
     lo = data.draw(st.integers(0, w - 1))
     cols = data.draw(st.sampled_from([(w - 5, w - 2), (w - 5, w - 2), None, (lo, w),
                                       (lo, lo + 1)]))
-    p, altered = 0, False
+    p = 0
     while p < n_win:
         b = data.draw(st.integers(1, min(2 * w, n_win - p)))
         maps.append(frames[:, maps.n : p + b - 1 + whole])
@@ -362,23 +363,16 @@ def test_phase_maps_extended_in_chunks_equal_built_once(config, mixed_engines, d
             m[:, :whole] = frames[:, p + j : p + j + whole]
         if data.draw(st.integers(0, 4)) == 0:
             mel[data.draw(st.integers(0, b - 1)), :, data.draw(st.integers(0, whole - 1))] += 1.0
-            altered = True
         got = engine.forward(mel, cols, cache=maps.at(p))
         for j, m in enumerate(mel):
             assert np.array_equal(got[j], engine.forward(m, cols)), (p, j)
         p += b
         maps.drop(p)
-    kept = 0
-    for i in range(cfg.levels):
-        for ph in range(1 << i):
-            first, end = int(maps.lo[i][ph]), int(maps.hi[i][ph])
-            first += max(-(-(maps.base - first) >> i), 0) << i  # the first not dropped
-            for f in range(first, end, 1 << i):
-                assert np.array_equal(maps.maps[i][f - maps.base], built.maps[i][f]), (i, f)
-                kept += 1
-    # windows over the stream's mask columns compute column _COPY_FROM
-    assert kept > 0 or altered or cols != (w - 5, w - 2)
-    assert maps.n == len(frames.T) and maps.base == p - p % w
+    assert maps.n == built.n == len(frames.T) and maps.done == built.done
+    assert maps.base % w == 0 and maps.base <= p
+    assert np.array_equal(maps.frames[: maps.n - maps.base], built.frames[maps.base : maps.n])
+    for m, want, done in zip(maps.maps, built.maps, maps.done):
+        assert np.array_equal(m[: max(done - maps.base, 0)], want[maps.base : done])
 
 
 def test_phase_maps_compare_every_window_of_a_block(mixed_engines):
