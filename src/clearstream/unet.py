@@ -195,8 +195,6 @@ class PhaseMaps:
         self.frames = np.empty((rows, cfg.input_mel), dtype=np.float32)
         self.maps = [np.empty((rows, cfg.input_mel >> i, c), dtype=np.float32)
                      for i, c in enumerate(cfg.down_out)]
-        # each level's conv at a width no sequence reaches: it pads only left of frame 0
-        self.convs = [ds.widened(sys.maxsize) for ds in engine.down]
         self.append(frames)
 
     @property
@@ -220,7 +218,7 @@ class PhaseMaps:
         self.frames[self.n - self.base : end] = frames.T
         old = self.done
         self.n += frames.shape[1]
-        for i, (ds, d0, d1) in enumerate(zip(self.convs, old, self.done)):
+        for i, (ds, d0, d1) in enumerate(zip(self.engine.down_seq, old, self.done)):
             s = 1 << i
             for f in range(d0, min(d0 + s, d1)):  # each phase's first new column
                 a, m = f >> i, ((d1 - 1 - f) >> i) + 1  # its first column, their count
@@ -373,6 +371,9 @@ class UNetEngine:
             )
             for i in range(cfg.levels)
         ]
+        # for PhaseMaps, each down conv at a width no sequence reaches:
+        # it pads only left of frame 0
+        self.down_seq = [ds.widened(sys.maxsize) for ds in self.down]
         self.up = []
         for i in range(cfg.levels):
             h = cfg.input_mel >> (cfg.levels - i)
