@@ -87,6 +87,9 @@ def cmd_enhance(args) -> int:
     result = pipeline.process_file(
         in_path, bundle, args.output, cfg, oracle=args.oracle_batch
     )
+    # the bundle is this run's own, so its UNet tallied this run only
+    tally = pipeline.bound_engines(bundle, cfg).unet.tally
+    packets = max(-(-result.n_samples // cfg.tcn.packet_len), 1)
     report = {
         "input": str(in_path),
         "output": str(args.output),
@@ -96,7 +99,10 @@ def cmd_enhance(args) -> int:
         "flops_per_packet": {
             "tcn_cached": pipeline.tcn_flop_count(cfg.tcn, cached=True),
             "tcn_uncached": pipeline.tcn_flop_count(cfg.tcn, cached=False),
-            "unet": pipeline.unet_flop_count(cfg.unet),
+            # what the run's UNet did per emitted packet, and the price
+            # of one forward over every column without phase maps
+            "unet": round(2 * tally.total() / packets),
+            "unet_full_forward": pipeline.unet_flop_count(cfg.unet),
         },
     }
     if args.report:

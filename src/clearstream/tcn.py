@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -278,8 +279,10 @@ class TcnEngine:
         self.tally.dec += self.dec_wt.size * (latent.size // latent.shape[-1])
         return (latent @ self.dec_wt + self.dec_b).reshape(-1)
 
+    @cached_property
     def _silence_constants(self) -> list[np.ndarray]:
-        """Per-stage constant activation over an infinite silent past.
+        """Per-stage constant activation over an infinite silent past,
+        computed on first use; readers copy it.
 
         Element 0 is the encoder output for a silent frame; element i is
         layer i's output when its input has been that constant forever.
@@ -346,7 +349,7 @@ class TcnEngine:
         s = max(cfg.layer_spans)
         bufs = np.empty((2, s + t, enc.shape[1]))
         bufs[0, s:] = enc
-        for i, (const, span) in enumerate(zip(self._silence_constants(), cfg.layer_spans)):
+        for i, (const, span) in enumerate(zip(self._silence_constants, cfg.layer_spans)):
             src, dst = bufs[i % 2], bufs[1 - i % 2]
             src[s - span : s] = const
             self._layer(src[s - span :], i, dst[s:])
@@ -375,7 +378,7 @@ class TcnState:
     def __init__(self, engine: TcnEngine):
         self.engine = engine
         self.frames_seen = 0
-        consts = engine._silence_constants()
+        consts = engine._silence_constants
         self.bufs = [np.tile(c, (need, 1))
                      for c, need in zip(consts, engine.cfg.buffer_lens)]
 

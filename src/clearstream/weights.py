@@ -62,11 +62,20 @@ class TensorRecord:
 
 @dataclass
 class WeightBundle:
-    """Named float32 tensors."""
+    """Named float32 tensors.
+
+    bind keeps what is built from the tensors, such as the pipeline's
+    engines, for the bundle's lifetime.  The first bind makes the bundle
+    read-only: its tensors stop being writeable and add raises, so
+    nothing bound can go stale.
+    """
 
     records: dict[str, TensorRecord] = field(default_factory=dict)
+    _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, name: str, data: np.ndarray) -> None:
+        if self._bound:
+            raise ValueError("bundle is read-only: engines are bound to it")
         if name in self.records:
             raise ValueError(f"duplicate tensor name: {name}")
         self.records[name] = TensorRecord(name, data)
@@ -78,6 +87,19 @@ class WeightBundle:
 
     def names(self) -> list[str]:
         return list(self.records)
+
+    def bind(self, key, build):
+        """build(self, key), built on the first call with an equal key
+        and kept until the bundle is dropped."""
+        if key not in self._bound:
+            for rec in self.records.values():
+                if rec.data.base is not None:  # a view, writable through its base
+                    rec.data = rec.data.copy()
+            built = build(self, key)
+            for rec in self.records.values():
+                rec.data.flags.writeable = False
+            self._bound[key] = built
+        return self._bound[key]
 
     def validate_specs(self, specs: list[tuple[str, tuple[int, ...], int]]) -> None:
         """Check that every (name, shape, fan_in) spec is satisfied."""

@@ -13,9 +13,14 @@ import pytest
 
 from clearstream.cli import main
 from clearstream.dsp import WaveBuffer
-from clearstream.pipeline import enhance_signal
+from clearstream.pipeline import (
+    PipelineConfig,
+    bound_engines,
+    enhance_signal,
+    unet_flop_count,
+)
 from clearstream.wavio import read_wav, write_wav
-from clearstream.weights import save_weights
+from clearstream.weights import random_init, save_weights
 from clearstream.wire import read_replay
 
 
@@ -62,6 +67,32 @@ def test_enhance_roundtrip(tmp_path, small_cfg_path, weights_path,
     want = enhance_signal(read_wav(in_path).data, small_pipeline_bundle, small_pipeline)
     # output passed through one int16 quantization on write
     assert np.max(np.abs(got.data[0] - want)) <= 1.01 / 32768
+
+
+def test_enhance_report_prices_unet_per_packet(tmp_path, rng):
+    """flops_per_packet.unet is what the run's UNet engine tallied per
+    emitted packet, the same in both modes: a primed push's 6,472,704
+    FLOPs plus the first windows' extra work spread over the packets.
+    unet_full_forward keeps the price of one full forward."""
+    cfg = PipelineConfig()
+    w = cfg.tcn.packet_len
+    weights = tmp_path / "model.cbw"
+    save_weights(random_init(cfg, seed=1), weights)
+    in_path = tmp_path / "in.wav"
+    write_wav(in_path, WaveBuffer(0.2 * rng.standard_normal((2, 90 * w)), 15625.0))
+    reports = []
+    for mode in ([], ["--oracle-batch"]):
+        rep_path = tmp_path / "report.json"
+        assert main(["enhance", str(in_path), str(tmp_path / "out.wav"),
+                     "--weights", str(weights), "--report", str(rep_path), *mode]) == 0
+        reports.append(json.loads(rep_path.read_text())["flops_per_packet"])
+    bundle = random_init(cfg, seed=1)
+    enhance_signal(read_wav(in_path).data, bundle, cfg)
+    tallied = 2 * bound_engines(bundle, cfg).unet.tally.total()
+    for flops in reports:
+        assert flops["unet"] == round(tallied / 90)
+        assert 6_472_704 < flops["unet"] < 1.05 * 6_472_704
+        assert flops["unet_full_forward"] == unet_flop_count(cfg.unet) == 32_399_360
 
 
 def test_enhance_usage_errors(tmp_path, small_cfg_path, weights_path, rng):

@@ -1,6 +1,8 @@
 """Full enhancement stream: streaming/batch agreement, alignment, latency math."""
 
 import json
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from clearstream.pipeline import (
     _UncachedRunner,
     _pad_slice,
     bench_packet,
+    bound_engines,
     enhance_signal,
     latency_total,
     offline_oracle,
@@ -538,6 +541,71 @@ def test_enhance_deterministic(small_pipeline, small_pipeline_bundle, rng):
     assert np.array_equal(a, b)
 
 
+def test_bundle_binds_its_engines_once(small_pipeline, rng, monkeypatch):
+    """Streams and oracle calls on one bundle share one engine of each
+    kind; a config that differs only in the UNet threshold keeps the
+    TCN engine.  The bound bundle is read-only, and dropping it frees
+    its engines."""
+    built = {}
+    for cls in (TcnEngine, UNetEngine, _Combiner):
+        def counted(self, *args, _real=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] = built.get(_name, 0) + 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    cfg = small_pipeline
+    bundle = random_init(cfg, seed=1)
+    # a tensor that is a view of an array the caller keeps
+    held = np.stack([bundle.tensor("unet.out.b")] * 2)
+    bundle.records["unet.out.b"].data = held[0]
+    x = 0.3 * rng.standard_normal((2, 6 * cfg.tcn.packet_len))
+    for oracle in (False, False, True, True):
+        enhance_signal(x, bundle, cfg, oracle=oracle)
+    assert built == {"TcnEngine": 1, "UNetEngine": 1, "_Combiner": 1}
+    other = replace(cfg, unet=replace(cfg.unet, threshold=0.7))
+    enhance_signal(x, bundle, other)
+    assert built == {"TcnEngine": 1, "UNetEngine": 2, "_Combiner": 2}
+    with pytest.raises(ValueError, match="read-only"):
+        bundle.tensor("unet.out.b")[...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        bundle.add("extra", np.zeros(2))
+    held[0] = 9.0
+    assert np.all(bound_engines(bundle, cfg).unet.out_b == held[1])
+    engine = weakref.ref(bound_engines(bundle, cfg).tcn)
+    assert engine() is not None
+    del bundle
+    assert engine() is None
+
+
+@pytest.mark.parametrize("config,seed", [("small", 42), ("small", 18),
+                                         ("default", 1), ("default", 4)])
+def test_shared_engines_carry_no_stream_state(config, seed, small_pipeline, rng):
+    """Two streams and an oracle call on one bundle, interleaved, emit
+    what each emits on a bundle of its own.  The weight seeds give masks
+    that hold both 0s and 1s; at the small config, seeds 1 and 4 block
+    every cell, and every output would be silence."""
+    cfg = small_pipeline if config == "small" else PipelineConfig()
+    w = cfg.tcn.packet_len
+    sizes = [1, 3, 1, 7, 2, 1, 18, 1]
+    n = sum(sizes) * w
+    xs = [np.logspace(-2, 1.5, n) * rng.standard_normal((2, n)) for _ in range(3)]
+    bundle = random_init(cfg, seed=seed)
+    streams = [CbNetStream(bundle, cfg) for _ in range(2)]
+    outs, p = [[], []], 0
+    for step, k in enumerate(sizes):
+        for out, stream, x in zip(outs, streams, xs):
+            out.append(stream.push(x[:, p * w : (p + k) * w]))
+        p += k
+        if step == 3:
+            oracle = enhance_signal(xs[2], bundle, cfg, oracle=True)
+    alone = [_push_blocks(CbNetStream(random_init(cfg, seed=seed), cfg), x, sizes)
+             for x in xs[:2]]
+    alone.append(enhance_signal(xs[2], random_init(cfg, seed=seed), cfg, oracle=True))
+    for got, want in zip([*map(np.concatenate, outs), oracle], alone):
+        assert np.any(want != 0.0)
+        assert np.array_equal(got, want)
+
+
 @pytest.fixture()
 def unet_calls(monkeypatch):
     """Every window of every UNetEngine.forward call made through phase
@@ -698,3 +766,18 @@ def test_bench_report_shape(small_pipeline, small_pipeline_bundle):
                                                + reps[True].unet_flops_per_push)
     with pytest.raises(ValueError, match="n_packets"):
         bench_packet(small_pipeline_bundle, small_pipeline, n_packets=0)
+
+
+def test_bench_tallies_on_shared_engine():
+    """bench_packet's cached and uncached runners share the bundle's
+    UNet engine and its tally: each run counts only its own pushes, so
+    a primed cached push prices at 6,472,704 FLOPs at the default
+    config whether it runs before or after an uncached run."""
+    cfg = PipelineConfig()
+    bundle = random_init(cfg, seed=1)
+    cone = unet_flop_count(cfg.unet, cfg.mask_cols)
+    # the first lookahead + 2^levels + 1 pushes are not yet primed
+    primed = cfg.lookahead_cols + (1 << cfg.unet.levels) + 1
+    runs = [bench_packet(bundle, cfg, n_packets=2, cached=cached, warmup=primed)
+            for cached in (True, False, True)]
+    assert [r.unet_flops_per_push for r in runs] == [6_472_704, cone, 6_472_704]
