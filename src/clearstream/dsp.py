@@ -1,8 +1,9 @@
 """Shared signal-processing primitives for the enhancement stack.
 
-Everything here is deliberately plain numpy/scipy: fixed-configuration
+Everything here is deliberately plain numpy: fixed-configuration
 STFT/iSTFT with weighted overlap-add, an HTK-style mel filterbank, the
-half-band decimator used by the PCM front end, and PCM sample-format
+half-band decimator used by the PCM front end (its taps a pinned
+constant; the recipe is beside them), and PCM sample-format
 conversions.  The neural engines and the evaluation code all build on
 these functions, so their conventions (frame placement, zero padding,
 normalization) are pinned down once, here.
@@ -213,35 +214,42 @@ def mel_bin_assignment(fb: MelFilterbank) -> np.ndarray:
 
 
 # Half-band decimator: 31-tap equiripple low-pass centered on 0.25*fs
-# (= half the output Nyquist), designed once and normalized to exact
-# unity DC gain.  Band edges leave ~45 dB in the stopband.
+# (= half the output Nyquist), normalized to exact unity DC gain.  Band
+# edges leave ~45 dB in the stopband.  The taps are a pinned constant:
+# the design is remez(DECIMATOR_TAPS, [0, DECIMATOR_PASS_EDGE,
+# DECIMATOR_STOP_EDGE, 0.5], [1, 0], fs=1.0) divided by its sum, which is
+# exactly symmetric, so only its first 16 taps are written out.
+# tests/test_dsp.py re-runs the design and checks the bits.  Pinned, the
+# filter does not change with the installed scipy, and enhancing capture-
+# rate audio does not import scipy.signal (46 MB resident, 0.6 s).
 DECIMATOR_TAPS = 31
 DECIMATOR_PASS_EDGE = 0.18  # fraction of the input rate
 DECIMATOR_STOP_EDGE = 0.32
+_DECIMATOR_HALF = (
+    -0.0005499068134942075, 4.578045587624481e-07,
+    0.0020607050186751013, -1.3594576465215577e-06,
+    -0.005514545979340436, 3.10122200891225e-06,
+    0.01225186618646816, -5.320879976315187e-06,
+    -0.024437271648725858, 7.780358340591192e-06,
+    0.04669929243829734, -9.97150733421288e-06,
+    -0.09505864712178456, 1.158197704213144e-05,
+    0.31451211095668047, 0.500060254892461,
+)
 
 
 @lru_cache(maxsize=1)
 def decimator_taps() -> np.ndarray:
-    from scipy.signal import remez  # imported on use: it is slow to import
-
-    taps = remez(
-        DECIMATOR_TAPS,
-        [0.0, DECIMATOR_PASS_EDGE, DECIMATOR_STOP_EDGE, 0.5],
-        [1.0, 0.0],
-        fs=1.0,
-    )
-    taps = taps / taps.sum()
+    half = np.array(_DECIMATOR_HALF)
+    taps = np.concatenate([half, half[-2::-1]])
     taps.flags.writeable = False
     return taps
 
 
 def decimator_stopband_db() -> float:
     """Worst-case attenuation (dB) over the designed stopband."""
-    from scipy.signal import freqz
-
-    taps = decimator_taps()
-    w, h = freqz(taps, worN=4096, fs=1.0)
-    stop = np.abs(h[w >= DECIMATOR_STOP_EDGE])
+    n = 4096  # response on n frequencies in [0, 0.5), as freqz(worN=n)
+    h = np.fft.rfft(decimator_taps(), 2 * n)[:n]
+    stop = np.abs(h[np.arange(n) / (2 * n) >= DECIMATOR_STOP_EDGE])
     return float(-20.0 * np.log10(stop.max()))
 
 

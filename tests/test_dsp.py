@@ -10,12 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clearstream.dsp import (
+    DECIMATOR_PASS_EDGE,
+    DECIMATOR_STOP_EDGE,
+    DECIMATOR_TAPS,
     DEFAULT_HOP,
     DEFAULT_WIN,
     MelFilterbank,
     WaveBuffer,
     decimate_by_2,
     decimator_stopband_db,
+    decimator_taps,
     float_to_int16,
     frame_count,
     hz_to_mel,
@@ -276,6 +280,20 @@ def test_mask_expand_stays_binary(rng):
 
 
 # -- decimator -------------------------------------------------------------
+
+
+def test_decimator_taps_equal_their_design():
+    """The pinned taps are bit-equal to the remez design they were written
+    from, and symmetric and read-only."""
+    from scipy.signal import remez
+
+    design = remez(DECIMATOR_TAPS,
+                   [0.0, DECIMATOR_PASS_EDGE, DECIMATOR_STOP_EDGE, 0.5],
+                   [1.0, 0.0], fs=1.0)
+    taps = decimator_taps()
+    assert np.array_equal(taps, design / design.sum())
+    assert np.array_equal(taps, taps[::-1])
+    assert not taps.flags.writeable
 
 
 def test_decimate_lengths_and_errors():
