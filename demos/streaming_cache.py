@@ -53,7 +53,7 @@ def main() -> int:
     print(f"   one ring buffer per dilated stage ({len(tc.dilations)} stages), "
           f"{frames} frames total at width {tc.latent_channels}")
     floats = frames * tc.latent_channels
-    print(f"   {floats} cached activations = {floats * 8 / 1e6:.1f} MB in float64")
+    print(f"   {floats} cached activations = {floats * 4 / 1e6:.1f} MB in float32")
 
     print("3. arithmetic per packet (multiply-accumulates x 2)")
     cached = tcn_flop_count(tc, cached=True)

@@ -6,9 +6,10 @@ pushes the block through the streaming TCN in one pass, obtaining the
 k enhanced mono packets that sit `lookahead` (700 samples) behind the
 newest input.  Each layer's pointwise GEMM runs once over all 7k new
 frames, so the pass reads the TCN weights once instead of k times.  Only the decoder runs per packet,
-as one stacked matmul: OpenBLAS's (M, 512) @ (512, 50) decoder GEMM
-gives rows that differ in the last bit for M >= 14, so one GEMM over
-the block would not match single pushes.  Each packet then ends one
+as one stacked matmul: OpenBLAS's float32 (M, 512) @ (512, 50) decoder
+GEMM gives rows that differ in the last bit from a 7-row GEMM's for
+every M >= 8, so one GEMM over two or more packets would not match
+single pushes.  Each packet then ends one
 placement of two trailing 64-frame windows (22400 samples), one of the
 mixture's mono sum (L+R) and one of the TCN output, and _enhance_block
 turns a stack of up to _ORACLE_BLOCK such placements into their packets:

@@ -27,12 +27,13 @@ Two evaluation paths produce identical numbers:
 Activations are held time-major, (frames, channels): the pointwise
 matmul then runs on contiguous rows, which measures almost 2x faster
 than the channel-major orientation for the 7-frame packets streaming
-produces.
+produces.  They are float32, the weights' own dtype; only the encoder
+runs in float64, and its output is clamped (_LATENT_MAX) and rounded to
+float32 before the layers.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,11 +42,19 @@ from scipy.special import expit
 
 DEFAULT_DILATIONS = (1, 2, 4, 8, 16, 32, 64, 1, 2, 4, 8, 16, 32, 64)
 # A layer's elementwise stages run over this many rows at a time: a
-# 64 x 512 float64 tile stays in cache between its taps and adds, and
-# the tap scratch is one tile, not a (T, N) array.  Against one
-# whole-array pass, a 3 s default-config forward_stream took 112-121
-# instead of 127-128 ms (2-vCPU Xeon, OpenBLAS at 2 threads).
+# 64 x 512 float32 tile is 128 KB, so the tile, its scratch and the
+# rows its taps read stay in L2 (2 MiB per core) between the taps and
+# adds, and the tap scratch is one tile, not a (T, N) array.  Against
+# one whole-array pass, a 3 s default-config forward_stream took 62-73
+# instead of 69-78 ms (2-vCPU Xeon, OpenBLAS at 2 threads).
 _ROW_TILE = 64
+# The float64 encoder's outputs are clamped to this before the float32
+# layers.  Input samples at the edge of the float32 range, which ingress
+# passes, encode to up to 9.7e38 on the default config (weight seeds
+# 0-9), past float32, and over 14 float64 layers the activations then
+# grew at most 3.9x; clamped, they stay 8 orders of magnitude below
+# float32 overflow.  Audio encodes many orders below the bound.
+_LATENT_MAX = 1e30
 
 
 @dataclass(frozen=True)
@@ -155,65 +164,40 @@ class MacTally:
         self.enc = self.dw = self.pw = self.dec = self.mask_mult = 0
 
 
-# The pointwise block of a collected engine, by shape, for the next engine
-# to fill in place.  A fresh 29 MB block per engine lands wherever malloc
-# finds room, which depends on every allocation before it: building a
-# bundle and a stream per 0.1 s clip, peak RSS read 182-184 MB in some
-# runs and 197-205 MB in others.  dict.pop and setdefault hold the GIL.
-_SPARE: dict[tuple[int, ...], np.ndarray] = {}
-
-
 class TcnEngine:
-    """Weight-bound engine exposing batch and streaming evaluation."""
+    """Weight-bound engine exposing batch and streaming evaluation.
+
+    The pointwise and decoder weights are transposed views of the
+    bundle's float32 tensors, read by BLAS through its transpose flag,
+    and the float32 biases are the tensors themselves, so an engine
+    copies no (N, N) weight.  An engine built directly on a writable
+    bundle thus holds views of it: writing those tensors later changes
+    what the engine computes.  bound_engines builds engines on a bundle
+    that is read-only from then on.
+    """
 
     def __init__(self, bundle, config: TcnConfig | None = None):
         self.cfg = config or TcnConfig()
         bundle.validate_specs(self.cfg.tensor_specs())
-        f8 = lambda name: np.asarray(bundle.tensor(name), dtype=np.float64)
+        t = bundle.tensor
         n, l = self.cfg.latent_channels, self.cfg.frame_len
-        # weights are stored output-major; keep the transposes so every
-        # matmul below is (frames, in) @ (in, out) on contiguous rows
-        self.enc_wt = np.ascontiguousarray(
-            f8("enc.w").reshape(n, self.cfg.in_channels * l).T
-        )
-        self.enc_b = f8("enc.b")
-        # One block for all pointwise weights, filled by one float32 cast-
-        # and-transpose per layer: it faults in far faster than 2 fresh
-        # (N, N) copies per layer.  Each layer holds a C-contiguous view.
-        # The block of a collected engine is reused (see __del__).
-        shape = (len(self.cfg.dilations), n, n)
-        pw = _SPARE.pop(shape, None)
-        if pw is None:
-            # Free a block before keeping one: glibc maps the first block
-            # this large on its own, and freeing it raises glibc's mmap
-            # threshold to its size.  The kept block and the program's
-            # other large arrays then come from the heap and are reused,
-            # not mapped and zeroed afresh on every call.
-            np.empty(shape)
-            pw = np.empty(shape)
-        for i in range(len(pw)):
-            pw[i] = bundle.tensor(f"tcn.{i}.pw.w").T
+        # every matmul below is (frames, in) @ (in, out): rows stay
+        # contiguous, and the weights, stored output-major, are read
+        # transposed
+        enc_w = np.asarray(t("enc.w"), dtype=np.float64)
+        self.enc_wt = np.ascontiguousarray(enc_w.reshape(n, self.cfg.in_channels * l).T)
+        self.enc_b = np.asarray(t("enc.b"), dtype=np.float64)
         self.layers = [
             (
-                np.ascontiguousarray(f8(f"tcn.{i}.dw.w").T),   # (k, N)
-                pw[i],                                         # (N, N)
-                f8(f"tcn.{i}.pw.b"),
+                np.ascontiguousarray(t(f"tcn.{i}.dw.w").T),   # (k, N)
+                t(f"tcn.{i}.pw.w").T,                         # (N, N) view
+                t(f"tcn.{i}.pw.b"),
             )
-            for i in range(len(pw))
+            for i in range(len(self.cfg.dilations))
         ]
-        self.dec_wt = np.ascontiguousarray(f8("dec.w").T)       # (N, L)
-        self.dec_b = f8("dec.b")
+        self.dec_wt = t("dec.w").T                            # (N, L) view
+        self.dec_b = t("dec.b")
         self.tally = MacTally()
-
-    def __del__(self):
-        # Leave the pointwise block to the next engine of its shape, unless
-        # a view of it outlives this one.
-        layers, self.layers = getattr(self, "layers", None), None
-        if layers:
-            pw = layers[0][1].base
-            del layers
-            if sys.getrefcount(pw) == 2:  # pw and the argument
-                _SPARE.setdefault(pw.shape, pw)
 
     # -- shared stages -------------------------------------------------
 
@@ -224,7 +208,7 @@ class TcnEngine:
         t = s // l
         rows = x[:, : t * l].reshape(c, t, l).transpose(1, 0, 2).reshape(t, c * l)
         self.tally.enc += self.enc_wt.size * t
-        return np.maximum(rows @ self.enc_wt + self.enc_b, 0.0)
+        return np.clip(rows @ self.enc_wt + self.enc_b, 0.0, _LATENT_MAX).astype(np.float32)
 
     def _layer(self, h: np.ndarray, i: int, out: np.ndarray | None = None) -> np.ndarray:
         """One causal dilated ds-conv layer: (T, N) -> (T - span, N),
@@ -242,9 +226,9 @@ class TcnEngine:
         if t_out <= 0:
             raise ValueError("input too short for dilated conv stack")
         if out is None:
-            out = np.empty((t_out, n))
-        y = np.empty((t_out, n))
-        tmp = np.empty((min(t_out, _ROW_TILE), n))
+            out = np.empty((t_out, n), np.float32)
+        y = np.empty((t_out, n), np.float32)
+        tmp = np.empty((min(t_out, _ROW_TILE), n), np.float32)
         for r in range(0, t_out, _ROW_TILE):
             yr = y[r : r + _ROW_TILE]
             tr = tmp[: len(yr)]
@@ -287,11 +271,9 @@ class TcnEngine:
         Element 0 is the encoder output for a silent frame; element i is
         layer i's output when its input has been that constant forever.
         """
-        consts = [np.maximum(self.enc_b, 0.0)]
-        for dw, pw_wt, pw_b in self.layers:
-            c = consts[-1]
-            y = c * dw.sum(axis=0)
-            consts.append(np.maximum(y @ pw_wt + pw_b, 0.0) + c)
+        consts = [self._encode(np.zeros((self.cfg.in_channels, self.cfg.frame_len)))[0]]
+        for i, span in enumerate(self.cfg.layer_spans):
+            consts.append(self._layer(np.tile(consts[-1], (span + 1, 1)), i)[0])
         return consts
 
     # -- batch evaluation ----------------------------------------------
@@ -338,7 +320,7 @@ class TcnEngine:
         t = x.shape[1] // cfg.frame_len
         la = cfg.lookahead_frames
         if t <= la:
-            return np.zeros(0)
+            return np.zeros(0, np.float32)
         enc = self._encode(x)
         # Each layer sees the silent past as its constant response to
         # silence, as the primed TcnState buffers do: span rows of it
@@ -347,7 +329,7 @@ class TcnEngine:
         # next layer writes its silent past into the span rows above.
         # Mask row la + j has seen la frames past encoder frame j.
         s = max(cfg.layer_spans)
-        bufs = np.empty((2, s + t, enc.shape[1]))
+        bufs = np.empty((2, s + t, enc.shape[1]), np.float32)
         bufs[0, s:] = enc
         for i, (const, span) in enumerate(zip(self._silence_constants, cfg.layer_spans)):
             src, dst = bufs[i % 2], bufs[1 - i % 2]
@@ -381,10 +363,6 @@ class TcnState:
         consts = engine._silence_constants
         self.bufs = [np.tile(c, (need, 1))
                      for c, need in zip(consts, engine.cfg.buffer_lens)]
-
-    def buffer_values(self) -> int:
-        """Total cached activation values held across all buffers."""
-        return sum(b.size for b in self.bufs)
 
     def push_packet(self, x: np.ndarray) -> np.ndarray:
         """Consume k >= 1 whole packets, (in_channels, k * packet_len)

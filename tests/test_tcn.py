@@ -144,7 +144,7 @@ def test_block_push_equals_packet_pushes(small_tcn, sizes, seed):
     got = _push_blocks(block, x, sizes)
     assert np.array_equal(got, want)
     assert block.frames_seen == single.frames_seen == n_pkts * small_tcn.frames_per_packet
-    assert block.buffer_values() == tcn_buffer_frames(small_tcn) * small_tcn.latent_channels
+    assert sum(b.size for b in block.bufs) == tcn_buffer_frames(small_tcn) * small_tcn.latent_channels
     for a, b in zip(block.bufs, single.bufs):
         assert np.array_equal(a, b)
 
@@ -176,12 +176,31 @@ def test_default_config_block_equals_packets(monkeypatch):
     block = engine.init_state()
     assert np.array_equal(block.push_packet(x), want)
     assert np.array_equal(decoded[-1], want_latent)
-    assert block.buffer_values() == tcn_buffer_frames(cfg) * cfg.latent_channels
+    assert sum(b.size for b in block.bufs) == tcn_buffer_frames(cfg) * cfg.latent_channels
     for a, b in zip(block.bufs, single.bufs):
         assert np.array_equal(a, b)
     # the pass's latent lags the pushes' by the lookahead
     engine.forward_stream(x)
     assert np.array_equal(decoded[-1], want_latent[cfg.lookahead_frames :])
+
+
+def test_float32_max_input_stays_finite(small_tcn):
+    """Samples at the edge of the float32 range, which the pipeline's
+    ingress passes, encode beyond it; the float32 layers still give
+    finite output, equal over single pushes, one block push and the
+    whole-signal pass."""
+    f32_max = float(np.finfo(np.float32).max)
+    n_pkts = 12
+    shape = (2, n_pkts * small_tcn.packet_len)
+    signs = np.sign(np.random.default_rng(4).standard_normal(shape))
+    engine = TcnEngine(random_init(small_tcn, seed=8), small_tcn)
+    for x in (np.full(shape, f32_max), np.full(shape, -f32_max), f32_max * signs):
+        single = _push_blocks(engine.init_state(), x, [1] * n_pkts)
+        assert np.all(np.isfinite(single))
+        assert np.array_equal(engine.init_state().push_packet(x), single)
+        batch = engine.forward_stream(x)
+        assert np.all(np.isfinite(batch))
+        assert np.allclose(single[small_tcn.lookahead :], batch, rtol=1e-5, atol=0)
 
 
 def test_receptive_field_analytics():
@@ -254,26 +273,22 @@ def test_two_states_identical_outputs(small_tcn, rng):
         assert np.array_equal(a, b)
 
 
-def test_collected_engine_block_is_reused(small_tcn, rng):
-    """An engine fills in place the pointwise block of an engine that was
-    collected, never one a live view still reads, and computes what an
-    engine with a block of its own computes."""
-    x = rng.standard_normal((2, small_tcn.min_input_samples + 3 * small_tcn.frame_len))
+def test_engine_reads_bundle_weights_in_place(small_tcn):
+    """The pointwise and decoder weights an engine multiplies by are the
+    bundle's own tensors, read transposed: bound or built directly, an
+    engine holds no (N, N) array of its own."""
+    n = small_tcn.latent_channels
     bundle = random_init(small_tcn, seed=23)
-    addr = lambda e: e.layers[0][1].__array_interface__["data"][0]
-    first = TcnEngine(random_init(small_tcn, seed=22), small_tcn)
-    first_addr = addr(first)
-    del first
-    reused = TcnEngine(bundle, small_tcn)
-    assert addr(reused) == first_addr
-    own = TcnEngine(bundle, small_tcn)
-    assert addr(own) != first_addr
-    assert np.array_equal(reused.full_forward(x), own.full_forward(x))
-    view = reused.layers[0][1]
-    kept = view.copy()
-    del reused, own
-    assert not np.shares_memory(TcnEngine(bundle, small_tcn).layers[0][1], view)
-    assert np.array_equal(view, kept)
+    tensors = [bundle.tensor(name) for name in bundle.names()]
+    for engine in (TcnEngine(bundle, small_tcn), bundle.bind(small_tcn, TcnEngine)):
+        for i, (_, pw_wt, _) in enumerate(engine.layers):
+            assert np.shares_memory(pw_wt, bundle.tensor(f"tcn.{i}.pw.w"))
+        assert np.shares_memory(engine.dec_wt, bundle.tensor("dec.w"))
+        held = [a for layer in engine.layers for a in layer]
+        held += [v for v in vars(engine).values() if isinstance(v, np.ndarray)]
+        for a in held:
+            if a.shape == (n, n):
+                assert any(np.shares_memory(a, t) for t in tensors)
 
 
 def test_buffer_footprint_matches_allocation(small_tcn):
@@ -293,7 +308,7 @@ def test_buffer_footprint_matches_allocation(small_tcn):
 
     bundle = random_init(small_tcn, seed=0)
     state = TcnEngine(bundle, small_tcn).init_state()
-    assert state.buffer_values() == tcn_buffer_frames(small_tcn) * small_tcn.latent_channels
+    assert sum(b.size for b in state.bufs) == tcn_buffer_frames(small_tcn) * small_tcn.latent_channels
 
 
 def test_default_buffer_frames_value():
