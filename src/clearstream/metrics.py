@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,21 +66,17 @@ class SiSdrReport:
 
     input_si_sdr: float
     output_si_sdr: float
-    per_chunk: list[float] = field(default_factory=list)
 
     @property
     def improvement(self) -> float:
         return self.output_si_sdr - self.input_si_sdr
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "input_si_sdr_db": self.input_si_sdr,
             "output_si_sdr_db": self.output_si_sdr,
             "improvement_db": self.improvement,
         }
-        if self.per_chunk:
-            d["per_chunk_db"] = list(self.per_chunk)
-        return d
 
 
 def si_sdr_improvement(reference, mixture_channel, estimate) -> SiSdrReport:

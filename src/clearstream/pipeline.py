@@ -54,7 +54,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import (
-    DEFAULT_HOP,
     DEFAULT_WIN,
     WaveBuffer,
     _hann_periodic,
@@ -88,14 +87,12 @@ class PipelineConfig:
     tcn: TcnConfig = field(default_factory=TcnConfig)
     unet: UNetConfig = field(default_factory=UNetConfig)
     sample_rate: float = 15625.0
-    hop: int = DEFAULT_HOP
     win_len: int = DEFAULT_WIN
 
-    def __post_init__(self) -> None:
-        if self.hop != self.tcn.packet_len:
-            raise ValueError("STFT hop must equal the TCN packet length")
-        if self.tcn.lookahead % self.hop != 0:
-            raise ValueError("lookahead must be a whole number of hops")
+    @property
+    def hop(self) -> int:
+        """The STFT hop: one TCN packet."""
+        return self.tcn.packet_len
 
     @property
     def window_samples(self) -> int:
@@ -126,7 +123,6 @@ class PipelineConfig:
             "tcn": asdict(self.tcn),
             "unet": asdict(self.unet),
             "sample_rate": self.sample_rate,
-            "hop": self.hop,
             "win_len": self.win_len,
         }
 

@@ -65,15 +65,10 @@ class TcnConfig:
     in_channels: int = 2
     conv_kernel: int = 3
     dilations: tuple[int, ...] = DEFAULT_DILATIONS
-    lookahead: int = 700           # samples of future context per packet
 
     def __post_init__(self) -> None:
         if self.packet_len % self.frame_len != 0:
             raise ValueError("packet_len must be a multiple of frame_len")
-        if self.lookahead % self.frame_len != 0:
-            raise ValueError("lookahead must be a multiple of frame_len")
-        if self.lookahead != 2 * self.packet_len:
-            raise ValueError("lookahead must equal 2 * packet_len")
         if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:
             raise ValueError("conv_kernel must be odd and >= 1")
         if any(d < 1 for d in self.dilations):
@@ -82,6 +77,11 @@ class TcnConfig:
     @property
     def frames_per_packet(self) -> int:
         return self.packet_len // self.frame_len
+
+    @property
+    def lookahead(self) -> int:
+        """Samples of future context per packet: two packets."""
+        return 2 * self.packet_len
 
     @property
     def lookahead_frames(self) -> int:

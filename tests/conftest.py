@@ -16,7 +16,6 @@ def small_tcn() -> TcnConfig:
         packet_len=20,
         latent_channels=8,
         dilations=(1, 2, 4),
-        lookahead=40,
     )
 
 
@@ -32,9 +31,8 @@ def small_pipeline(small_unet) -> PipelineConfig:
         packet_len=64,
         latent_channels=8,
         dilations=(1, 2, 4, 8),
-        lookahead=128,
     )
-    return PipelineConfig(tcn=tcn, unet=small_unet, hop=64, win_len=256)
+    return PipelineConfig(tcn=tcn, unet=small_unet, win_len=256)
 
 
 @pytest.fixture(scope="session")

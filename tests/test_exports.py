@@ -1,38 +1,42 @@
-"""Package exports: __all__ lists exactly what __init__ imports."""
+"""What importing the package and its submodules loads."""
 
-import ast
 import subprocess
 import sys
-from pathlib import Path
 
+
+_IMPORT_ALL = """
+import pkgutil, sys
 import clearstream
-
-
-def test_all_matches_imports():
-    names = clearstream.__all__
-    assert len(names) == len(set(names))
-    for name in names:
-        assert hasattr(clearstream, name), name
-    tree = ast.parse(Path(clearstream.__file__).read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert set(names) == imported | {"__version__"}
+for m in pkgutil.iter_modules(clearstream.__path__):
+    if m.name != "__main__":
+        __import__("clearstream." + m.name)
+print("scipy.signal" in sys.modules)
+"""
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    """scipy.signal takes about a second to import, so the package
-    imports it only inside the functions that call it."""
+    """scipy.signal takes about a second to import, so no module of the
+    package imports it at import time, only inside the functions that
+    call it."""
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, clearstream; print('scipy.signal' in sys.modules)"],
+        [sys.executable, "-c", _IMPORT_ALL],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_pipeline_leaves_scene_and_wav_modules_unloaded():
+    """The package root imports nothing, so importing the enhancer
+    loads neither the scene generator nor scipy's WAV reader."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, clearstream.pipeline; "
+         "print(sorted({'clearstream.mixgen', 'scipy.io'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 _ENHANCE_CAPTURE_RATE = """

@@ -75,7 +75,7 @@ def test_improvement_report(rng):
     assert rep.improvement == rep.output_si_sdr - rep.input_si_sdr
     d = rep.to_dict()
     assert d["improvement_db"] == rep.improvement
-    assert "per_chunk_db" not in d
+    assert set(d) == {"input_si_sdr_db", "output_si_sdr_db", "improvement_db"}
 
 
 def test_chunked_sdr_recovers_known_delay(rng):

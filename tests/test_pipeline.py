@@ -739,8 +739,11 @@ def test_config_dict_roundtrip(small_pipeline):
     for cfg in (small_pipeline, PipelineConfig()):
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
     assert PipelineConfig.from_dict({}) == PipelineConfig()
-    with pytest.raises(ValueError, match="hop"):
-        PipelineConfig(hop=175)
+    # hop and lookahead are derived from packet_len, not configured
+    with pytest.raises(ValueError, match="'hop'"):
+        PipelineConfig.from_dict({"hop": 350})
+    with pytest.raises(ValueError, match="'lookahead'"):
+        PipelineConfig.from_dict({"tcn": {"lookahead": 700}})
 
 
 def test_bench_report_shape(small_pipeline, small_pipeline_bundle):

@@ -382,8 +382,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TcnConfig(frame_len=60)  # packet not a multiple
     with pytest.raises(ValueError):
-        TcnConfig(lookahead=350)  # must be 2 packets
-    with pytest.raises(ValueError):
         TcnConfig(conv_kernel=2)
     with pytest.raises(ValueError):
         TcnConfig(dilations=(1, 0, 2))
