@@ -29,11 +29,11 @@ and zero-padded, so a mask column depends on a bounded cone of the up
 path (see UNetEngine.forward); so is copying from the maps (see
 PhaseMaps).  The stream grows its maps push by push; offline_oracle()
 computes every inside frame and builds the maps once over the whole
-mixture, after one batch TCN pass, then runs the same _enhance_block.
-Both compute every mel column through _Combiner.mel_frames, whose
-columns do not depend on which frames it computes together, and both
-set the same input samples to 0 at ingress (_sanitise), so the two
-agree to float rounding.
+mixture, after pushing the whole mixture to a cold TCN stream as one
+block, then runs the same _enhance_block.  Both compute every mel
+column through _Combiner.mel_frames, whose columns do not depend on
+which frames it computes together, and both set the same input samples
+to 0 at ingress (_sanitise), so the two agree bit for bit.
 
 The mixture window ends `lookahead` samples after the emitted packet
 and the TCN window ends at the packet's right edge, so the mel mask
@@ -70,7 +70,6 @@ from .unet import (
     unet_flop_count,
 )
 
-PACKET_MS = 22.4  # 350 samples at 15.625 kHz
 # enhance_signal pushes at most this many packets per call: it bounds
 # the TCN activations of long inputs at about 1.8 MB per layer
 _BLOCK_PACKETS = 64
@@ -444,9 +443,10 @@ def offline_oracle(x: np.ndarray, bundle,
     x is (2, S) with S a multiple of the packet length.  Returns the
     S - lookahead samples a cold-started stream emits for x (i.e. the
     enhancement of x[..., :S-lookahead]), with the same samples set to
-    0 at ingress; the TCN runs as one batch pass.  Every STFT frame
-    that lies wholly inside some window is computed once, over the
-    whole mixture, and so is the UNet down path over those frames
+    0 at ingress, bit for bit.  The TCN runs as one block push to a
+    cold stream (TcnEngine.forward_stream).  Every STFT frame that lies
+    wholly inside some window is computed once, over the whole
+    mixture, and so is the UNet down path over those frames
     (PhaseMaps).  The windows then go through _enhance_block, the
     stream's routine, in blocks of _ORACLE_BLOCK.  The engines come from
     bound_engines, so repeated calls on one bundle build them once.

@@ -13,16 +13,15 @@ at position p - lookahead_frames, so each emitted packet has seen
 (7 frames); the full receptive span per mask position is
 1 + 2*sum(dilations) = 509 frames.
 
-Two evaluation paths produce identical numbers:
+Two evaluation paths agree to float32 rounding:
 
-* batch: full_forward recomputes everything from an explicit context
-  window, and forward_stream runs a whole signal in one pass, feeding
-  each layer its constant response to the silent past.  The pass holds
-  its activations in two buffers and each layer writes into the one it
-  does not read, so no layer allocates its output or copies its input;
+* batch: full_forward recomputes one packet from an explicit context
+  window, with no state;
 * streaming: TcnState keeps per-layer rolling activation buffers and,
   per push of k packets, computes only the 7k new frames of every layer,
-  so a block of packets runs each layer's GEMM once, over 7k rows.
+  so a block of packets runs each layer's GEMM once, over 7k rows.  A
+  whole signal is one block push to a cold stream (forward_stream), so
+  it gives bit for bit what packetwise streaming emits.
 
 Activations are held time-major, (frames, channels): the pointwise
 matmul then runs on contiguous rows, which measures almost 2x faster
@@ -45,8 +44,9 @@ DEFAULT_DILATIONS = (1, 2, 4, 8, 16, 32, 64, 1, 2, 4, 8, 16, 32, 64)
 # 64 x 512 float32 tile is 128 KB, so the tile, its scratch and the
 # rows its taps read stay in L2 (2 MiB per core) between the taps and
 # adds, and the tap scratch is one tile, not a (T, N) array.  Against
-# one whole-array pass, a 3 s default-config forward_stream took 62-73
-# instead of 69-78 ms (2-vCPU Xeon, OpenBLAS at 2 threads).
+# one whole-array pass, a 3 s default-config forward_stream (one block
+# push) took a median 77-82 instead of 84-87 ms over 30 alternated
+# calls, in two runs (2-vCPU Xeon, OpenBLAS at 2 threads).
 _ROW_TILE = 64
 # The float64 encoder's outputs are clamped to this before the float32
 # layers.  Input samples at the edge of the float32 range, which ingress
@@ -210,9 +210,8 @@ class TcnEngine:
         self.tally.enc += self.enc_wt.size * t
         return np.clip(rows @ self.enc_wt + self.enc_b, 0.0, _LATENT_MAX).astype(np.float32)
 
-    def _layer(self, h: np.ndarray, i: int, out: np.ndarray | None = None) -> np.ndarray:
-        """One causal dilated ds-conv layer: (T, N) -> (T - span, N),
-        written into out when given.
+    def _layer(self, h: np.ndarray, i: int) -> np.ndarray:
+        """One causal dilated ds-conv layer: (T, N) -> (T - span, N).
 
         The depthwise taps, and then the bias, ReLU and residual, run
         over tiles of _ROW_TILE rows; the pointwise GEMM runs once over
@@ -225,8 +224,6 @@ class TcnEngine:
         t_out, n = h.shape[0] - span, h.shape[1]
         if t_out <= 0:
             raise ValueError("input too short for dilated conv stack")
-        if out is None:
-            out = np.empty((t_out, n), np.float32)
         y = np.empty((t_out, n), np.float32)
         tmp = np.empty((min(t_out, _ROW_TILE), n), np.float32)
         for r in range(0, t_out, _ROW_TILE):
@@ -236,7 +233,7 @@ class TcnEngine:
             for j in range(1, k):
                 np.multiply(h[j * d + r : j * d + r + len(yr)], dw[j], out=tr)
                 yr += tr
-        np.matmul(y, pw_wt, out=out)
+        out = y @ pw_wt
         for r in range(0, t_out, _ROW_TILE):
             zr = out[r : r + _ROW_TILE]
             zr += pw_b
@@ -304,42 +301,14 @@ class TcnEngine:
         return self._decode(mask * out_cols)
 
     def forward_stream(self, x: np.ndarray) -> np.ndarray:
-        """Enhance a whole signal in one pass, silence-primed like a
-        cold-started stream.
+        """Enhance a whole signal as one block push to a cold stream.
 
-        x is (in_channels, S), S a multiple of frame_len.  Returns
-        S - lookahead mono samples: the enhancement of x[..., :S-700],
-        exactly matching what packetwise streaming emits.
+        x is k >= 1 whole packets, (in_channels, S = k * packet_len).
+        Returns the S - lookahead samples, the enhancement of
+        x[..., :S - lookahead], that packetwise streaming emits after
+        the silent past's, bit for bit.
         """
-        x = np.asarray(x, dtype=np.float64)
-        cfg = self.cfg
-        if x.ndim != 2 or x.shape[0] != cfg.in_channels:
-            raise ValueError(f"expected ({cfg.in_channels}, S) input")
-        if x.shape[1] % cfg.frame_len != 0:
-            raise ValueError("input length must be a multiple of frame_len")
-        t = x.shape[1] // cfg.frame_len
-        la = cfg.lookahead_frames
-        if t <= la:
-            return np.zeros(0, np.float32)
-        enc = self._encode(x)
-        # Each layer sees the silent past as its constant response to
-        # silence, as the primed TcnState buffers do: span rows of it
-        # ahead of the t real rows keep every layer's output at t rows.
-        # Rows [s, s + t) of a buffer hold a layer's output, and the
-        # next layer writes its silent past into the span rows above.
-        # Mask row la + j has seen la frames past encoder frame j.
-        s = max(cfg.layer_spans)
-        bufs = np.empty((2, s + t, enc.shape[1]), np.float32)
-        bufs[0, s:] = enc
-        for i, (const, span) in enumerate(zip(self._silence_constants, cfg.layer_spans)):
-            src, dst = bufs[i % 2], bufs[1 - i % 2]
-            src[s - span : s] = const
-            self._layer(src[s - span :], i, dst[s:])
-        h = bufs[len(self.layers) % 2, s + la :]
-        mask = expit(h, out=h)
-        mask *= enc[: t - la]
-        self.tally.mask_mult += mask.size
-        return self._decode(mask)
+        return self.init_state().push_packet(x)[self.cfg.lookahead :]
 
     # -- streaming evaluation --------------------------------------------
 

@@ -52,7 +52,6 @@ core; inputs and the returned probability map stay float64.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,7 +217,7 @@ class PhaseMaps:
         self.frames[self.n - self.base : end] = frames.T
         old = self.done
         self.n += frames.shape[1]
-        for i, (ds, d0, d1) in enumerate(zip(self.engine.down_seq, old, self.done)):
+        for i, (ds, d0, d1) in enumerate(zip(self.engine.down, old, self.done)):
             s = 1 << i
             for f in range(d0, min(d0 + s, d1)):  # each phase's first new column
                 a, m = f >> i, ((d1 - 1 - f) >> i) + 1  # its first column, their count
@@ -283,19 +282,16 @@ class _DsConv:
         self.pw_wt = np.ascontiguousarray(pw_w.T, dtype=np.float32)
         self.pw_b = np.asarray(pw_b, dtype=np.float32)
 
-    def widened(self, w: int) -> _DsConv:
-        """The same conv at width w."""
-        dw_w = np.transpose(self.taps[:, :, : self.cin], (2, 0, 1))
-        return _DsConv(dw_w, self.pw_wt.T, self.pw_b, self.h, w)
-
     def run(self, x: np.ndarray, a: int = 0, b: int | None = None,
             x0: int = 0) -> np.ndarray:
         """Output columns [a, b) (default all) of each map, shape
         (B, b - a, h, cout).
 
-        x is (B, m, h, cin) and holds map columns [x0, x0 + m).  It need
-        hold only the columns those outputs read, [a - 1, b + 1) clipped
-        to the map; zeros stand in for the columns beyond its edges.
+        x is (B, m, h, cin) and holds map columns [x0, x0 + m), at least
+        those the outputs read, [a - 1, b + 1) clipped to the map.  The
+        map ends where x does, so zeros stand in beyond column x0 + m - 1
+        as beyond column 0, and a PhaseMaps sequence, which has no fixed
+        width, runs the window's conv.
         Every map goes through the same elementwise ops, and the
         pointwise GEMM gives each row the same bits whatever the number
         of rows, so a map's output does not depend on B.
@@ -303,7 +299,7 @@ class _DsConv:
         h, w, c = self.h, self.w, self.cin
         b = w if b is None else b
         n = b - a
-        lo, hi = max(a - 1, 0), min(b + 1, w)
+        lo, hi = max(a - 1, 0), min(b + 1, x0 + x.shape[1])
         pad = np.zeros((len(x), n + 2, h + 2, c), dtype=np.float32)
         pad[:, lo - a + 1 : hi - a + 1, 1:-1] = x[:, lo - x0 : hi - x0]
         pad = pad.reshape(len(x), n + 2, -1)
@@ -371,9 +367,6 @@ class UNetEngine:
             )
             for i in range(cfg.levels)
         ]
-        # for PhaseMaps, each down conv at a width no sequence reaches:
-        # it pads only left of frame 0
-        self.down_seq = [ds.widened(sys.maxsize) for ds in self.down]
         self.up = []
         for i in range(cfg.levels):
             h = cfg.input_mel >> (cfg.levels - i)

@@ -69,6 +69,23 @@ def test_stream_matches_oracle_default_config(rng, monkeypatch):
         assert np.max(np.abs(streamed - oracle)) <= 1e-4, seed
 
 
+@pytest.mark.parametrize("config, seed", [("small", 42), ("small", 18), ("default", 1),
+                                          ("default", 3), ("default", 4), ("default", 8)])
+def test_stream_equals_oracle_bit_for_bit(config, seed, small_pipeline):
+    """The oracle pushes the whole signal to a cold TCN stream as one
+    block, and a block push equals single pushes bit for bit, so the
+    oracle's output is the stream's exactly: on 3 s of noise whose level
+    sweeps from 0.01 to 30, at the seeds whose masks are not constant."""
+    cfg = small_pipeline if config == "small" else PipelineConfig()
+    bundle = random_init(cfg, seed=seed)
+    n = int(3 * cfg.sample_rate)
+    x = np.logspace(-2, 1.5, n) * np.random.default_rng(seed).standard_normal((2, n))
+    streamed = enhance_signal(x, bundle, cfg)
+    oracle = enhance_signal(x, bundle, cfg, oracle=True)
+    assert np.any(oracle != 0.0)
+    assert np.array_equal(streamed, oracle)
+
+
 @pytest.mark.parametrize("config", ["small", "default"])
 def test_incremental_mel_equals_recompute(config, small_pipeline, rng):
     """The stream updates only the newest mel columns per push; the

@@ -1,7 +1,7 @@
 """Time-domain separator engine: batch/streaming equivalence and compute accounting.
 
 The batch forward pass is checked against a from-scratch nested-loop
-re-implementation; streaming is checked against the batch pass.
+re-implementation; streaming is checked against the batch forward pass.
 """
 
 import numpy as np
@@ -102,19 +102,22 @@ def test_streaming_matches_full_forward_prefixes(small_tcn, rng):
         assert np.max(np.abs(outs[k] - want)) <= 1e-5
 
 
-def test_streaming_matches_forward_stream_everywhere(small_tcn, rng):
-    bundle = random_init(small_tcn, seed=11)
-    w = small_tcn.packet_len
-    x = rng.standard_normal((2, 25 * w))
-    engine = TcnEngine(bundle, small_tcn)
-    batch = engine.forward_stream(x)
+@pytest.mark.parametrize("config", ["small", "default"])
+def test_streaming_matches_full_forward_everywhere(config, small_tcn, rng):
+    """Every push, cold start included, emits what full_forward gives on
+    the input so far behind min_input_samples of silence: a check of the
+    stream's silence priming that shares no state with it."""
+    cfg = small_tcn if config == "small" else TcnConfig()
+    n_pkts = 25 if config == "small" else 8
+    w, pad = cfg.packet_len, cfg.min_input_samples
+    x = rng.standard_normal((2, n_pkts * w))
+    padded = np.concatenate([np.zeros((2, pad)), x], axis=1)
+    engine = TcnEngine(random_init(cfg, seed=11), cfg)
     state = engine.init_state()
-    streamed = np.concatenate(
-        [state.push_packet(x[:, k * w : (k + 1) * w]) for k in range(25)]
-    )
-    # streamed output k covers input lookahead samples back; drop that lag
-    la = small_tcn.lookahead
-    assert np.max(np.abs(streamed[la:] - batch)) <= 1e-5
+    for k in range(n_pkts):
+        got = state.push_packet(x[:, k * w : (k + 1) * w])
+        want = engine.full_forward(padded[:, (k + 1) * w : pad + (k + 1) * w])
+        assert np.max(np.abs(got - want)) <= 1e-5, k
 
 
 def _push_blocks(state, x, sizes):
@@ -151,11 +154,10 @@ def test_block_push_equals_packet_pushes(small_tcn, sizes, seed):
 
 def test_default_config_block_equals_packets(monkeypatch):
     """3 s of signal pushed as one block, on the full-size network,
-    equals single-packet pushes bit for bit.  The whole-signal pass
-    feeds the decoder a bit-identical masked latent too; its 938 frames
-    are not a whole number of the pass's row tiles.  (It decodes all
-    rows in one GEMM, whose rows' last bits depend on the row count, so
-    its samples match the pushes' only to rounding.)"""
+    equals single-packet pushes bit for bit, and so does the
+    whole-signal pass after the silent past's samples; the block's 938
+    frames are not a whole number of _layer's row tiles.  The pass, like
+    a push, takes whole packets only."""
     cfg = TcnConfig()
     w = cfg.packet_len
     n_pkts = -(-3 * 15625 // w)
@@ -179,9 +181,9 @@ def test_default_config_block_equals_packets(monkeypatch):
     assert sum(b.size for b in block.bufs) == tcn_buffer_frames(cfg) * cfg.latent_channels
     for a, b in zip(block.bufs, single.bufs):
         assert np.array_equal(a, b)
-    # the pass's latent lags the pushes' by the lookahead
-    engine.forward_stream(x)
-    assert np.array_equal(decoded[-1], want_latent[cfg.lookahead_frames :])
+    assert np.array_equal(engine.forward_stream(x), want[cfg.lookahead :])
+    with pytest.raises(ValueError, match="k >= 1"):
+        engine.forward_stream(x[:, : (n_pkts - 1) * w + cfg.frame_len])
 
 
 def test_float32_max_input_stays_finite(small_tcn):
